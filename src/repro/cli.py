@@ -163,6 +163,32 @@ def _cmd_serve_demo(args) -> int:
     return 0
 
 
+def _demo_model(name: str, seed: int):
+    """The seeded eval-mode demo model behind ``--model name``.
+
+    Returns ``(model, row_shape)``: ``row_shape`` is one input row's
+    shape, or None for time-major token ids over a 64-word vocabulary.
+    """
+    from .models import MLP, NNLM, SlicedVGG, TransformerEncoder, TransformerLM
+
+    image = (3, 8, 8)
+    table = {
+        "mlp": (lambda: MLP(32, [64, 64], 8, seed=seed), (32,)),
+        "cnn": (lambda: SlicedVGG.cifar_mini(width=16, seed=seed), image),
+        "tenc": (lambda: TransformerEncoder(
+            image_size=8, patch_size=4, channels=3, num_classes=8,
+            embed_dim=32, num_heads=4, ffn_dim=64, depth=2, seed=seed),
+            image),
+        "tlm": (lambda: TransformerLM(64, embed_dim=32, num_heads=4,
+                                      ffn_dim=64, depth=2, max_seq=16,
+                                      seed=seed), None),
+        "nnlm": (lambda: NNLM(64, embed_dim=32, hidden_size=32, seed=seed),
+                 None),
+    }
+    build, row_shape = table[name]
+    return build().eval(), row_shape
+
+
 def _runtime_demo_model(args, rates):
     """The model + eval split the runtime demos serve.
 
@@ -177,14 +203,9 @@ def _runtime_demo_model(args, rates):
     from .slicing.resume import ResumablePlan
 
     if args.model == "tenc":
-        from .models import TransformerEncoder
-
-        model = TransformerEncoder(
-            image_size=8, patch_size=4, channels=3, num_classes=8,
-            embed_dim=32, num_heads=4, ffn_dim=64, depth=2, seed=args.seed)
-        model.eval()
+        model, row_shape = _demo_model("tenc", args.seed)
         rng = np.random.default_rng(args.seed)
-        eval_x = rng.normal(size=(512, 3, 8, 8)).astype(np.float32)
+        eval_x = rng.normal(size=(512,) + row_shape).astype(np.float32)
         eval_y = np.argmax(ResumablePlan(model, 1.0).run(eval_x), axis=-1)
         print(f"building the seeded sliced-attention encoder (seed "
               f"{args.seed}); accuracy = agreement with full width",
@@ -596,29 +617,15 @@ def _cmd_plan(args) -> int:
     import numpy as np
 
     from .metrics.latency import measure_latency
-    from .models import MLP, NNLM, SlicedVGG, TransformerEncoder, TransformerLM
     from .slicing import PlanCache
 
     rng = np.random.default_rng(args.seed)
-    if args.model == "mlp":
-        model = MLP(32, [64, 64], 8, seed=args.seed)
-        inputs = rng.normal(size=(args.batch, 32)).astype(np.float32)
-    elif args.model == "cnn":
-        model = SlicedVGG.cifar_mini(width=16, seed=args.seed)
-        inputs = rng.normal(size=(args.batch, 3, 8, 8)).astype(np.float32)
-    elif args.model == "tenc":
-        model = TransformerEncoder(image_size=8, patch_size=4, channels=3,
-                                   num_classes=8, embed_dim=32, num_heads=4,
-                                   ffn_dim=64, depth=2, seed=args.seed)
-        inputs = rng.normal(size=(args.batch, 3, 8, 8)).astype(np.float32)
-    elif args.model == "tlm":
-        model = TransformerLM(64, embed_dim=32, num_heads=4, ffn_dim=64,
-                              depth=2, max_seq=16, seed=args.seed)
+    model, row_shape = _demo_model(args.model, args.seed)
+    if row_shape is None:
         inputs = rng.integers(0, 64, size=(12, args.batch))
     else:
-        model = NNLM(64, embed_dim=32, hidden_size=32, seed=args.seed)
-        inputs = rng.integers(0, 64, size=(12, args.batch))
-    model.eval()
+        inputs = rng.normal(size=(args.batch,) + row_shape).astype(
+            np.float32)
 
     rates = sorted(set(args.rates)) if args.rates else [i / 8 for i in
                                                         range(1, 9)]
@@ -664,7 +671,6 @@ def _cmd_sizing(args) -> int:
         simulate_autoscaling,
     )
     from .errors import ServingError
-    from .models import MLP, SlicedVGG, TransformerEncoder, TransformerLM
     from .runtime.replica import LatencyProfile
 
     # The demo accuracy/rate trade-off (anchored at the Sec 4.1 demo
@@ -673,17 +679,8 @@ def _cmd_sizing(args) -> int:
                [0.30, 0.62, 0.85, 0.91, 0.94])
 
     input_builder = None
-    if args.model == "mlp":
-        model = MLP(32, [64, 64], 8, seed=args.seed)
-        input_shape = (1, 32)
-    elif args.model == "tenc":
-        model = TransformerEncoder(image_size=8, patch_size=4, channels=3,
-                                   num_classes=8, embed_dim=32, num_heads=4,
-                                   ffn_dim=64, depth=2, seed=args.seed)
-        input_shape = (1, 3, 8, 8)
-    elif args.model == "tlm":
-        model = TransformerLM(64, embed_dim=32, num_heads=4, ffn_dim=64,
-                              depth=2, max_seq=16, seed=args.seed)
+    model, row_shape = _demo_model(args.model, args.seed)
+    if row_shape is None:
         # Decoder inputs are time-major token ids: one 16-step session
         # column per "sample".
         input_shape = (16, 1)
@@ -691,9 +688,7 @@ def _cmd_sizing(args) -> int:
         input_builder = lambda shape: rng.integers(  # noqa: E731
             0, 64, size=shape)
     else:
-        model = SlicedVGG.cifar_mini(width=16, seed=args.seed)
-        input_shape = (1, 3, 8, 8)
-    model.eval()
+        input_shape = (1,) + row_shape
     rates = sorted(set(args.rates)) if args.rates else [0.25, 0.5, 0.75, 1.0]
     accuracy = {r: float(np.interp(r, *anchors)) for r in rates}
 
@@ -770,19 +765,13 @@ def _cmd_profile(args) -> int:
 
     from .errors import BudgetError
     from .metrics.flops import measured_flops, memory_of_profile
-    from .models import MLP, SlicedVGG
     from .slicing.budget import (
         search_profile_for_budget,
         uniform_rate_for_budget,
     )
 
-    if args.model == "mlp":
-        model = MLP(32, [64, 64], 8, seed=args.seed)
-        input_shape = (args.batch, 32)
-    else:
-        model = SlicedVGG.cifar_mini(width=16, seed=args.seed)
-        input_shape = (args.batch, 3, 8, 8)
-    model.eval()
+    model, row_shape = _demo_model(args.model, args.seed)
+    input_shape = (args.batch,) + row_shape
 
     rates = sorted(set(args.rates)) if args.rates \
         else [i / 8 for i in range(1, 9)]

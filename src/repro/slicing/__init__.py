@@ -12,11 +12,14 @@
 * :mod:`~repro.slicing.trainer` — the Algorithm-1 training loop.
 * :mod:`~repro.slicing.budget` — budget → rate mapping (Eq. 3).
 * :mod:`~repro.slicing.upgrade` — convert plain models to sliceable ones.
-* :mod:`~repro.slicing.incremental` — group-residual computation reuse
-  (Sec. 3.5).
+* :mod:`~repro.slicing.families` — one op-sequence declaration per model
+  family, read by both plan kinds below.
+* :mod:`~repro.slicing.plans` — compiled per-profile inference plans.
 * :mod:`~repro.slicing.resume` — resumable compiled plans: run narrow,
   retain intermediates, :meth:`~repro.slicing.resume.ResumablePlan.widen`
-  to a nested wider profile with cross-term reuse.
+  to a nested wider profile with the Sec. 3.5 cross-term reuse
+  (group-residual computation reuse; ``exact=False`` is the paper's
+  approximate rule).
 """
 
 from .context import (
@@ -95,7 +98,7 @@ from .resume import (
     pointwise_nested,
     scratch_madds,
 )
-from . import analysis, incremental
+from . import analysis, families
 
 __all__ = [
     "SliceContext",
@@ -157,6 +160,6 @@ __all__ = [
     "compile_resumable",
     "pointwise_nested",
     "scratch_madds",
-    "incremental",
+    "families",
     "analysis",
 ]

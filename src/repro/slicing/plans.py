@@ -25,12 +25,13 @@ a plan records the ``(parameter, version)`` pairs it was compiled from.
 version bump, identity change (e.g. ``upgrade_model`` swapped layers) or
 rebound running-statistics buffer, and :class:`PlanCache` recompiles.
 
-Models with no registered compiler get a :class:`FallbackPlan` that runs
-the ordinary sliced forward under ``no_grad`` — correct, never stale,
-just not fast; the ``plan_fallbacks_total`` counter records how often
-that happens.  Plans always execute **eval-mode semantics**: dropout is
-identity and batch norm uses running statistics, regardless of the
-model's ``training`` flag at compile time.
+Models whose class has no declaration in :mod:`repro.slicing.families`
+get a :class:`FallbackPlan` that runs the ordinary sliced forward under
+``no_grad`` — correct, never stale, just not fast; the
+``plan_fallbacks_total`` counter records how often that happens.
+Plans always execute **eval-mode semantics**: dropout is identity and
+batch norm uses running statistics, regardless of the model's
+``training`` flag at compile time.
 
 Cache metrics (``plan_cache_hits_total``, ``plan_cache_misses_total``,
 ``plan_cache_invalidations_total``, ``plan_cache_evictions_total``,
@@ -44,7 +45,6 @@ one plan must not be invoked concurrently from multiple threads.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -57,6 +57,7 @@ from ..nn.norm import BatchNorm2d
 from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..tensor import Tensor, no_grad
 from .context import slice_profile
+from .families import Family, Op, family_of
 from .profile import SliceProfile, as_profile, validate_rate
 from .layers import (
     MultiBatchNorm2d,
@@ -105,6 +106,9 @@ class PlanStep:
     """One compiled operation; subclasses are ``ndarray -> ndarray``."""
 
     kind = "step"
+    #: Feature width of the activation the step emits (None: unchanged),
+    #: threaded by :func:`compile_plan` into the next step.
+    out_width: int | None = None
 
     def param_bytes(self) -> int:
         """Bytes of weight data resident in this step."""
@@ -119,29 +123,24 @@ class LinearStep(PlanStep):
 
     ``weight``/``bias`` keep the *unscaled* prefix (so nesting tests can
     compare raw prefixes across rates); the executed operands fold the
-    rescale ``scale`` in unless ``fold_scale=False``, in which case the
-    scale is applied after the bias exactly as the sliced forward does —
-    the mode :mod:`repro.anytime` needs to keep ``widen()`` invertible.
+    rescale ``scale`` in.
     """
 
     kind = "linear"
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray | None,
-                 scale: float = 1.0, fold_scale: bool = True,
-                 relu: bool = False):
+                 scale: float = 1.0, relu: bool = False):
         self.weight = _f32(weight)
         self.bias = None if bias is None else _f32(bias)
         self.scale = float(scale)
-        self.folded = bool(fold_scale)
         self.relu = bool(relu)
-        if self.folded and self.scale != 1.0:
+        self.out_width = self.weight.shape[0]
+        if self.scale != 1.0:
             self._wt = _f32((self.weight * self.scale).T)
             self._b = None if self.bias is None else _f32(self.bias * self.scale)
-            self._post = 1.0
         else:
             self._wt = _f32(self.weight.T)
             self._b = self.bias
-            self._post = 1.0 if self.folded else self.scale
 
     def param_bytes(self) -> int:
         return self._wt.nbytes + (0 if self._b is None else self._b.nbytes)
@@ -150,8 +149,6 @@ class LinearStep(PlanStep):
         y = x @ self._wt
         if self._b is not None:
             y += self._b
-        if self._post != 1.0:
-            y *= self._post
         if self.relu:
             np.maximum(y, 0.0, out=y)
         return y
@@ -173,7 +170,7 @@ class ConvStep(PlanStep):
         self.weight = _f32(weight)  # (out_ch, in_ch, kh, kw) prefix
         self.bias = None if bias is None else _f32(bias)
         out_ch, in_ch, kh, kw = self.weight.shape
-        self.out_channels = out_ch
+        self.out_channels = self.out_width = out_ch
         self.in_channels = in_ch
         self.kernel_size = (kh, kw)
         self.stride = int(stride)
@@ -372,6 +369,7 @@ class EmbeddingStep(PlanStep):
 
     def __init__(self, table: np.ndarray):
         self.weight = _f32(table)
+        self.out_width = self.weight.shape[1]
 
     def param_bytes(self) -> int:
         return self.weight.nbytes
@@ -410,6 +408,7 @@ class DenseStep(PlanStep):
         self.weight = _f32(weight)  # (out, in) prefix, live orientation
         self.bias = _f32(bias)
         self.relu = bool(relu)
+        self.out_width = self.weight.shape[0]
 
     def param_bytes(self) -> int:
         return self.weight.nbytes + self.bias.nbytes
@@ -712,6 +711,7 @@ class LSTMStackStep(PlanStep):
 
     def __init__(self, cells: list[LSTMCellStep]):
         self.cells = list(cells)
+        self.out_width = self.cells[-1].hidden
 
     def param_bytes(self) -> int:
         return sum(cell.param_bytes() for cell in self.cells)
@@ -745,21 +745,27 @@ def _linear_in_width(layer: SlicedLinear, rate: float) -> int:
     return layer.in_partition.width_for(rate)
 
 
+def _linear_out_width(layer: SlicedLinear, rate: float) -> int:
+    if not layer.slice_output:
+        return layer.out_features
+    return layer.out_partition.width_for(rate)
+
+
 def _linear_scale(layer: SlicedLinear, in_width: int) -> float:
     if layer.rescale and layer.slice_input and in_width != layer.in_features:
         return layer.in_features / in_width
     return 1.0
 
 
-def compile_layer(layer, rate, fold_rescale: bool = True,
-                  in_width: int | None = None, relu: bool = False) -> PlanStep:
+def compile_layer(layer, rate, in_width: int | None = None,
+                  relu: bool = False) -> PlanStep:
     """Compile one sliced layer into a :class:`PlanStep` at ``rate``.
 
     ``rate`` may be a scalar or a :class:`SliceProfile`; a profile is
     resolved to this layer's own rate via its ``slice_point`` name
     (containers like :class:`SlicedLSTM` resolve per child cell).
     ``in_width`` overrides the input width the step is specialized for
-    (model compilers thread the actual upstream activation width through;
+    (:func:`compile_plan` threads the actual upstream activation width;
     standalone compilation derives it from the layer's own partition).
     ``relu`` fuses a trailing ReLU into steps that support it.
     """
@@ -775,12 +781,10 @@ def compile_layer(layer, rate, fold_rescale: bool = True,
     rate = validate_rate(profile.rate_for(getattr(layer, "slice_point", None)))
     if isinstance(layer, SlicedLinear):
         in_w = in_width if in_width is not None else _linear_in_width(layer, rate)
-        out_w = layer.out_partition.width_for(rate) if layer.slice_output \
-            else layer.out_features
+        out_w = _linear_out_width(layer, rate)
         bias = None if layer.bias is None else layer.bias.data[:out_w]
         return LinearStep(layer.weight.data[:out_w, :in_w], bias,
-                          scale=_linear_scale(layer, in_w),
-                          fold_scale=fold_rescale, relu=relu)
+                          scale=_linear_scale(layer, in_w), relu=relu)
     if isinstance(layer, SlicedConv2d):
         in_w = in_width if in_width is not None else (
             layer.in_partition.width_for(rate) if layer.slice_input
@@ -830,7 +834,7 @@ def compile_layer(layer, rate, fold_rescale: bool = True,
     if isinstance(layer, (SlicedLSTMCell, SlicedGRUCell, SlicedRNNCell)):
         return _compile_cell(layer, rate, in_width)
     if isinstance(layer, Embedding):
-        return EmbeddingStep(layer.weight.data)
+        return EmbeddingStep(layer.weight.data[:, :layer.active_width(rate)])
     if isinstance(layer, Dropout):
         return IdentityStep()
     if isinstance(layer, MaxPool2d):
@@ -856,86 +860,60 @@ def _compile_cell(cell, rate: float, in_width: int | None = None) -> PlanStep:
 
 
 # ----------------------------------------------------------------------
-# Model compilation
+# Model compilation: one step per declared op
 # ----------------------------------------------------------------------
-def _compile_mlp(model, profile: SliceProfile,
-                 fold_rescale: bool) -> list[PlanStep]:
-    steps: list[PlanStep] = []
-    width = model.in_features
-    for layer in model.layers:
-        rate = profile.rate_for(layer.slice_point)
-        steps.append(compile_layer(layer, rate, fold_rescale,
-                                   in_width=width, relu=True))
-        width = layer.out_partition.width_for(rate) if layer.slice_output \
-            else layer.out_features
-    steps.append(compile_layer(model.head, profile, fold_rescale,
-                               in_width=width))
-    return steps
+def _compile_op(op: Op, profile: SliceProfile, width: int | None
+                ) -> PlanStep:
+    """The step for one declared op; ``width`` is the arriving feature
+    width (None for the model input, which is never sliced)."""
+    layer = op.layer
+    if op.kind in ("linear", "conv", "pool", "embedding", "lstm"):
+        return compile_layer(layer, profile, in_width=width, relu=op.relu)
+    if op.kind == "norm":
+        return compile_layer(layer, profile.rate_for(op.source.slice_point),
+                             in_width=width, relu=op.relu)
+    if op.kind == "dense":
+        out = _linear_out_width(layer, profile.rate_for(layer.slice_point))
+        width = layer.in_features if width is None else width
+        return DenseStep(layer.weight.data[:out, :width],
+                         layer.bias.data[:out], relu=op.relu)
+    if op.kind == "positional":
+        return PositionalStep(layer.weight.data[:, :width],
+                              batch_first=layer.batch_first)
+    if op.kind == "attention":
+        return _attention_step(layer, profile, width)
+    if op.kind == "ffn":
+        return _ffn_step(layer, profile, width)
+    if op.kind == "layernorm":
+        return LayerNormStep(layer.weight.data[:width],
+                             layer.bias.data[:width], layer.eps)
+    if op.kind == "mean_pool":
+        return MeanPoolStep(axis=1)
+    if op.kind == "global_pool":
+        return GlobalAvgPoolStep()
+    if op.kind == "log_softmax":
+        return LogSoftmaxStep()
+    raise PlanError(f"no plan step for op kind {op.kind!r}")
 
 
-def _compile_vgg(model, profile: SliceProfile,
-                 fold_rescale: bool) -> list[PlanStep]:
-    steps: list[PlanStep] = []
-    width = model._ops[0][1].in_channels
-    rate = profile.rate_for(None)
-    for kind, op in model._ops:
-        if kind == "conv":
-            rate = profile.rate_for(op.slice_point)
-            steps.append(compile_layer(op, rate, fold_rescale, in_width=width))
-            width = op.active_out_channels(rate)
-        elif kind == "norm":
-            # Norms normalize whatever width arrives, so they compile at
-            # the feeding conv's rate — naming them is unnecessary.
-            steps.append(compile_layer(op, rate, fold_rescale,
-                                       in_width=width, relu=True))
-        else:
-            steps.append(compile_layer(op, profile, fold_rescale))
-    steps.append(GlobalAvgPoolStep())
-    steps.append(compile_layer(model.head, profile, fold_rescale,
-                               in_width=width))
-    return steps
-
-
-class _NNLMRunner:
-    """Token ids ``(T, B)`` -> log-probabilities ``(T, B, vocab)``."""
-
-    def __init__(self, embed: EmbeddingStep, lstm: LSTMStackStep,
-                 decoder: LinearStep):
-        self.steps = [embed, lstm, decoder]
-        self._embed, self._lstm, self._decoder = embed, lstm, decoder
-
-    def __call__(self, tokens: np.ndarray) -> np.ndarray:
-        steps, batch = tokens.shape
-        x = self._embed(tokens)
-        hidden = self._lstm(x)
-        logits = self._decoder(hidden.reshape(steps * batch, -1))
-        return _log_softmax(logits).reshape(steps, batch, -1)
-
-
-def _compile_nnlm(model, profile: SliceProfile, fold_rescale: bool):
-    last = model.lstm.cells[-1]
-    hidden_w = last.partition.width_for(profile.rate_for(last.slice_point))
-    runner = _NNLMRunner(
-        compile_layer(model.embedding, profile, fold_rescale),
-        compile_layer(model.lstm, profile, fold_rescale),
-        compile_layer(model.decoder, profile, fold_rescale, in_width=hidden_w),
-    )
-    return runner.steps, runner
-
-
-def _block_steps(block, profile: SliceProfile, width: int) -> list[PlanStep]:
-    """Compile one pre-norm transformer block at the residual ``width``."""
+def _attention_step(block, profile: SliceProfile, width: int
+                    ) -> AttentionBlockStep:
+    """The attention half of a pre-norm block at the residual ``width``."""
     attn = block.attn
     heads = attn.active_heads(profile.rate_for(attn.slice_point))
     inner = heads * attn.head_dim
     rows = 3 * inner
-    attn_step = AttentionBlockStep(
+    return AttentionBlockStep(
         block.ln1.weight.data[:width], block.ln1.bias.data[:width],
         block.ln1.eps,
         attn.qkv_weight.data[:rows, :width], attn.qkv_bias.data[:rows],
         attn.proj_weight.data[:width, :inner], attn.proj_bias.data[:width],
         attn.head_dim, attn.causal, attn.batch_first,
     )
+
+
+def _ffn_step(block, profile: SliceProfile, width: int) -> FFNBlockStep:
+    """The FFN half of a pre-norm block at the residual ``width``."""
     ffn = block.fc1.out_partition.width_for(
         profile.rate_for(block.fc1.slice_point))
     fc2_out = block.fc2.out_partition.width_for(
@@ -944,101 +922,16 @@ def _block_steps(block, profile: SliceProfile, width: int) -> list[PlanStep]:
         raise PlanError(
             f"profile gives fc2 width {fc2_out} but the residual stream is "
             f"{width} wide; fc2 must stay at the default (residual) rate")
-    ffn_step = FFNBlockStep(
+    return FFNBlockStep(
         block.ln2.weight.data[:width], block.ln2.bias.data[:width],
         block.ln2.eps,
         block.fc1.weight.data[:ffn, :width], block.fc1.bias.data[:ffn],
         block.fc2.weight.data[:width, :ffn], block.fc2.bias.data[:width],
     )
-    return [attn_step, ffn_step]
 
 
-class _TransformerEncoderRunner:
-    """Images ``(B, C, H, W)`` -> class log-probabilities ``(B, classes)``."""
-
-    def __init__(self, patchify, steps: list[PlanStep]):
-        self.steps = steps
-        self._patchify = patchify
-
-    def __call__(self, images: np.ndarray) -> np.ndarray:
-        x = self._patchify(np.asarray(images))
-        for step in self.steps:
-            x = step(x)
-        return x
-
-
-class _TransformerLMRunner:
-    """Token ids ``(T, B)`` -> log-probabilities ``(T, B, vocab)``."""
-
-    def __init__(self, steps: list[PlanStep]):
-        self.steps = steps
-
-    def __call__(self, tokens: np.ndarray) -> np.ndarray:
-        seq, batch = tokens.shape
-        x = self.steps[0](tokens)
-        for step in self.steps[1:-1]:
-            x = step(x)
-        logits = self.steps[-1](x.reshape(seq * batch, x.shape[-1]))
-        return _log_softmax(logits).reshape(seq, batch, -1)
-
-
-def _compile_transformer_encoder(model, profile: SliceProfile,
-                                 fold_rescale: bool):
-    width = model.patch_embed.out_partition.width_for(
-        profile.rate_for(model.patch_embed.slice_point))
-    steps: list[PlanStep] = [
-        DenseStep(model.patch_embed.weight.data[:width, :],
-                  model.patch_embed.bias.data[:width]),
-        PositionalStep(model.pos.weight.data[:, :width], batch_first=True),
-    ]
-    for block in model.blocks:
-        steps.extend(_block_steps(block, profile, width))
-    steps.append(LayerNormStep(model.ln_f.weight.data[:width],
-                               model.ln_f.bias.data[:width], model.ln_f.eps))
-    steps.append(MeanPoolStep(axis=1))
-    steps.append(DenseStep(model.head.weight.data[:, :width],
-                           model.head.bias.data))
-    steps.append(LogSoftmaxStep())
-    runner = _TransformerEncoderRunner(model.patchify, steps)
-    return steps, runner
-
-
-def _compile_transformer_lm(model, profile: SliceProfile,
-                            fold_rescale: bool):
-    width = model.embedding.active_width(
-        profile.rate_for(model.embedding.slice_point))
-    steps: list[PlanStep] = [
-        EmbeddingStep(model.embedding.weight.data[:, :width]),
-        PositionalStep(model.pos.weight.data[:, :width], batch_first=False),
-    ]
-    for block in model.blocks:
-        steps.extend(_block_steps(block, profile, width))
-    steps.append(LayerNormStep(model.ln_f.weight.data[:width],
-                               model.ln_f.bias.data[:width], model.ln_f.eps))
-    steps.append(DenseStep(model.decoder.weight.data[:, :width],
-                           model.decoder.bias.data))
-    runner = _TransformerLMRunner(steps)
-    return steps, runner
-
-
-def _find_compiler(model):
-    # Imported lazily: repro.models imports repro.slicing at module load.
-    from ..models.mlp import MLP
-    from ..models.nnlm import NNLM
-    from ..models.transformer import TransformerEncoder, TransformerLM
-    from ..models.vgg import SlicedVGG
-
-    if isinstance(model, MLP):
-        return _compile_mlp
-    if isinstance(model, SlicedVGG):
-        return _compile_vgg
-    if isinstance(model, NNLM):
-        return _compile_nnlm
-    if isinstance(model, TransformerEncoder):
-        return _compile_transformer_encoder
-    if isinstance(model, TransformerLM):
-        return _compile_transformer_lm
-    return None
+def _call(step: PlanStep, x: np.ndarray) -> np.ndarray:
+    return step(x)
 
 
 # ----------------------------------------------------------------------
@@ -1056,14 +949,12 @@ class InferencePlan:
     fallback = False
 
     def __init__(self, model, rate, steps: list[PlanStep],
-                 run_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-                 fold_rescale: bool = True):
+                 family: Family | None = None):
         self.model = model
         self.profile = as_profile(rate)
         self.rate = float(self.profile) if self.profile.uniform else None
         self.steps = list(steps)
-        self.fold_rescale = bool(fold_rescale)
-        self._run = run_fn
+        self.family = family
         self._sources = [(p, p.version) for p in model.parameters()]
         self._extra = [
             (module, key, value)
@@ -1091,11 +982,7 @@ class InferencePlan:
         x = np.asarray(inputs)
         if x.dtype.kind not in "iu":
             x = np.ascontiguousarray(x, dtype=np.float32)
-        if self._run is not None:
-            return self._run(x)
-        for step in self.steps:
-            x = step(x)
-        return x
+        return self.family.execute(self.model, self.steps, x, _call)
 
     def __call__(self, x) -> Tensor:
         """Tensor-compatible entry point (drop-in for ``model(x)``)."""
@@ -1115,7 +1002,7 @@ class InferencePlan:
 class FallbackPlan(InferencePlan):
     """Uncompiled escape hatch: the sliced forward under ``no_grad``.
 
-    Used when no compiler is registered for the model class.  It reads
+    Used when the model class has no family declaration.  It reads
     the live weights on every call, so it can never go stale.
     """
 
@@ -1137,28 +1024,26 @@ class FallbackPlan(InferencePlan):
         return out.data if isinstance(out, Tensor) else np.asarray(out)
 
 
-def compile_plan(model, rate, fold_rescale: bool = True
-                 ) -> InferencePlan:
+def compile_plan(model, rate) -> InferencePlan:
     """Compile ``model`` at ``rate`` (a :class:`FallbackPlan` if unknown).
 
-    ``rate`` may be a scalar rate or a :class:`SliceProfile`.
-    ``fold_rescale=False`` keeps the ``full_in / active_in`` rescale as a
-    separate post-bias multiply instead of baking it into the weights —
-    bit-compatible with the incremental (anytime) forward.
+    ``rate`` may be a scalar rate or a :class:`SliceProfile`.  The steps
+    follow the model's family declaration
+    (:mod:`~repro.slicing.families`), each specialized for the feature
+    width its predecessor emits.
     """
     profile = as_profile(rate)
-    compiler = _find_compiler(model)
-    if compiler is None:
+    family = family_of(model)
+    if family is None:
         if obs.enabled():
             obs.count("plan_fallbacks_total", kind=type(model).__name__)
         return FallbackPlan(model, profile)
-    result = compiler(model, profile, fold_rescale)
-    if isinstance(result, tuple):
-        steps, run_fn = result
-    else:
-        steps, run_fn = result, None
-    return InferencePlan(model, profile, steps, run_fn=run_fn,
-                         fold_rescale=fold_rescale)
+    steps: list[PlanStep] = []
+    width = None
+    for op in family.ops(model):
+        steps.append(_compile_op(op, profile, width))
+        width = steps[-1].out_width or width
+    return InferencePlan(model, profile, steps, family)
 
 
 # ----------------------------------------------------------------------
@@ -1188,15 +1073,14 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, model, rate, fold_rescale: bool = True
-            ) -> InferencePlan:
+    def get(self, model, rate) -> InferencePlan:
         """The cached plan for ``(model, rate)``, compiling on miss.
 
         ``rate`` may be a scalar or a :class:`SliceProfile`; the cache
         key is the canonical profile fingerprint.
         """
         profile = as_profile(rate)
-        key = (id(model), profile.fingerprint(), bool(fold_rescale))
+        key = (id(model), profile.fingerprint())
         plan = self._entries.get(key)
         if plan is not None and plan.model is model and plan.is_valid():
             self._entries.move_to_end(key)
@@ -1212,7 +1096,7 @@ class PlanCache:
         self.misses += 1
         if obs.enabled():
             obs.count("plan_cache_misses_total")
-        plan = compile_plan(model, profile, fold_rescale)
+        plan = compile_plan(model, profile)
         if obs.enabled():
             obs.count("plan_compiles_total", kind=type(model).__name__)
         self._entries[key] = plan

@@ -40,11 +40,16 @@ Two widening modes exist because the paper's reuse is an approximation:
 Execution mirrors the live sliced forward's operation order (matmul,
 then bias, then the *unfolded* ``full_in/active_in`` rescale, then the
 activation), which keeps the from-scratch resumable pass numerically
-aligned with ``compile_plan(model, profile, fold_rescale=False)`` for
-dense chains (equal to float tolerance; the canonical GEMM's
-accumulation order differs from BLAS, so not bitwise).  Recurrent
-cells keep the rescale unfolded for the same reason, so their cached
-per-gate input projections stay reusable across hidden widths.
+aligned with :func:`~repro.slicing.plans.compile_plan` (equal to float
+tolerance: the compiled plan folds the rescale into its weights and
+runs BLAS, so not bitwise).  Recurrent cells keep the rescale unfolded
+for the same reason, so their cached per-gate input projections stay
+reusable across hidden widths.
+
+The node list and the execution loop come from the model's family
+declaration (:mod:`repro.slicing.families`), the same one
+:func:`~repro.slicing.plans.compile_plan` reads, so every family that
+compiles also resumes.
 
 Plans validate against parameter mutation exactly like
 :class:`~repro.slicing.plans.InferencePlan`: any ``Parameter`` version
@@ -66,19 +71,18 @@ import numpy as np
 
 from ..errors import PlanError, SliceRateError
 from ..nn.attention import causal_mask, softmax_eval
-from ..nn.dropout import Dropout
 from ..nn.embedding import Embedding
 from ..nn.norm import layer_norm_eval
+from .families import Op, family_of
 from .layers import SlicedConv2d, SlicedGroupNorm, SlicedLinear
 from .plans import (
-    AvgPoolStep,
     ConvStep,
     GlobalAvgPoolStep,
     GroupNormStep,
-    MaxPoolStep,
     _log_softmax,
     _recurrent_scale,
     _sigmoid,
+    compile_layer,
 )
 from .profile import SliceProfile, as_profile, named_slice_points
 from .recurrent import SlicedLSTM
@@ -106,7 +110,11 @@ def _cgemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     property exact-mode widening and :meth:`ResumablePlan.subset` are
     built on, and one BLAS GEMMs do *not* provide (kernel choice, and
     with it the K summation order, varies with the output shape).
+    Leading axes beyond the first are flattened into rows and restored.
     """
+    if x.ndim != 2:
+        flat = _cgemm(x.reshape(-1, x.shape[-1]), w)
+        return flat.reshape(x.shape[:-1] + (w.shape[0],))
     out = np.empty((x.shape[0], w.shape[0]), dtype=np.float32)
     for j, row in enumerate(w):
         acc = x[:, 0] * row[0]
@@ -114,6 +122,11 @@ def _cgemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
             acc += x[:, k] * row[k]
         out[:, j] = acc
     return out
+
+
+def _rows(x: np.ndarray) -> int:
+    """Rows a dense product runs over: every axis but the feature axis."""
+    return x.size // x.shape[-1]
 
 
 def pointwise_nested(model, narrow, wide) -> bool:
@@ -219,9 +232,6 @@ class _LinearNode(_Node):
             np.maximum(y, 0.0, out=y)
         return y
 
-    def _full(self, batch: int, in_w: int, out_w: int) -> int:
-        return batch * out_w * in_w
-
     # -- execution -------------------------------------------------------
     def run(self, x, profile):
         out_w = self._out_width(profile)
@@ -230,7 +240,7 @@ class _LinearNode(_Node):
         y = self._post(raw, 0, out_w, in_w)
         self.x, self.raw, self.y = x, raw, y
         self.in_w, self.out_w = in_w, out_w
-        full = self._full(x.shape[0], in_w, out_w)
+        full = _rows(x) * out_w * in_w
         return y, True, full, full
 
     def widen(self, x, profile, changed_in, exact):
@@ -241,8 +251,8 @@ class _LinearNode(_Node):
             raise SliceRateError(
                 f"{self.name}: widen() target is narrower than the "
                 f"cached profile ({in_new}x{out_new} < {in_old}x{out_old})")
-        batch = x.shape[0]
-        full = self._full(batch, in_new, out_new)
+        batch = _rows(x)
+        full = batch * out_new * in_new
         weight = self.layer.weight.data
         clean = not changed_in and in_new == in_old
 
@@ -288,34 +298,6 @@ class _LinearNode(_Node):
         self.in_w, self.out_w = in_new, out_new
         spent = batch * (out_new * in_new - out_old * in_old)
         return y, True, spent, full
-
-
-class _EmbeddingNode(_Node):
-    """Unsliced embedding: its output never changes across profiles."""
-
-    _cached = ("y",)
-    name = "embedding"
-
-    def __init__(self, layer: Embedding):
-        self.layer = layer
-        self.tokens = None
-        self.y = None
-
-    def run(self, tokens, profile):
-        idx = np.asarray(tokens)
-        if idx.dtype.kind not in "iu":
-            raise PlanError("embedding node expects integer token ids")
-        self.tokens = idx
-        self.y = _f32(self.layer.weight.data)[idx]
-        return self.y, True, 0, 0
-
-    def widen(self, tokens, profile, changed_in, exact):
-        return self.y, False, 0, 0
-
-    def take_rows(self, rows) -> None:
-        # Token ids are (T, B); activations (T, B, E) — batch axis 1.
-        self.tokens = self.tokens[:, rows]
-        self.y = self.y[:, rows]
 
 
 class _LSTMNode(_Node):
@@ -603,12 +585,12 @@ class _LogSoftmaxNode(_Node):
         return self.run(x, profile)
 
 
-class _SlicedEmbeddingNode(_Node):
-    """Width-controller embedding: widening appends gathered columns.
+class _EmbeddingNode(_Node):
+    """Token embedding; a width controller widens by appending columns.
 
     Gathering rows of a column prefix equals the column prefix of the
     full gather, so column extension is bitwise by construction — no
-    canonical GEMM needed.
+    canonical GEMM needed.  An unsliced embedding never changes.
     """
 
     _cached = ("y",)
@@ -622,7 +604,7 @@ class _SlicedEmbeddingNode(_Node):
 
     def _width(self, profile: SliceProfile) -> int:
         return self.layer.active_width(
-            profile.rate_for(self.layer.slice_point))
+            profile.rate_for(getattr(self.layer, "slice_point", None)))
 
     def run(self, tokens, profile):
         idx = np.asarray(tokens)
@@ -970,103 +952,41 @@ class _FFNBlockNode(_Node):
 
 
 # ----------------------------------------------------------------------
-# Model builders
+# Nodes from the family declaration
 # ----------------------------------------------------------------------
-def _build_mlp(model) -> tuple[list[_Node], str]:
-    nodes: list[_Node] = [_LinearNode(layer, relu=True)
-                          for layer in model.layers]
-    nodes.append(_LinearNode(model.head, relu=False))
-    return nodes, "chain"
-
-
-def _build_nnlm(model) -> tuple[list[_Node], str]:
-    nodes: list[_Node] = [
-        _EmbeddingNode(model.embedding),
-        _LSTMNode(model.lstm),
-        _LinearNode(model.decoder, relu=False),
-        _LogSoftmaxNode(),
-    ]
-    return nodes, "nnlm"
-
-
-def _build_vgg(model) -> tuple[list[_Node], str]:
-    from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
-
-    nodes: list[_Node] = []
-    for kind, op in model._ops:
-        if kind == "conv":
-            nodes.append(_ConvNode(op))
-        elif kind == "norm":
-            if not isinstance(op, SlicedGroupNorm):
-                raise PlanError(
-                    f"no resumable compiler for norm {type(op).__name__}")
-            nodes.append(_GroupNormNode(op, relu=True))
-        elif isinstance(op, MaxPool2d):
-            nodes.append(_PoolNode(MaxPoolStep(op.kernel_size), "pool"))
-        elif isinstance(op, AvgPool2d):
-            nodes.append(_PoolNode(AvgPoolStep(op.kernel_size), "pool"))
-        elif isinstance(op, GlobalAvgPool2d):
-            nodes.append(_PoolNode(GlobalAvgPoolStep(), "pool"))
-        elif isinstance(op, Dropout):
-            continue
-        else:
+def _node(op: Op) -> _Node:
+    """The resumable node for one declared op."""
+    layer = op.layer
+    if op.kind in ("linear", "dense"):
+        return _LinearNode(layer, relu=op.relu)
+    if op.kind == "conv":
+        return _ConvNode(layer)
+    if op.kind == "norm":
+        if not isinstance(layer, SlicedGroupNorm):
             raise PlanError(
-                f"no resumable compiler for op {type(op).__name__}")
-    nodes.append(_PoolNode(GlobalAvgPoolStep(), "global_pool"))
-    nodes.append(_LinearNode(model.head, relu=False))
-    return nodes, "chain"
-
-
-def _build_transformer_blocks(model) -> list[_Node]:
-    nodes: list[_Node] = []
-    for block in model.blocks:
-        nodes.append(_AttentionBlockNode(block.ln1, block.attn))
-        nodes.append(_FFNBlockNode(block.ln2, block.fc1, block.fc2))
-    return nodes
-
-
-def _build_transformer_encoder(model) -> tuple[list[_Node], str]:
-    nodes: list[_Node] = [
-        _LinearNode(model.patch_embed, relu=False),
-        _PosNode(model.pos),
-        *_build_transformer_blocks(model),
-        _LayerNormNode(model.ln_f),
-        _MeanPoolNode(axis=1),
-        _LinearNode(model.head, relu=False),
-        _LogSoftmaxNode(),
-    ]
-    return nodes, "tenc"
-
-
-def _build_transformer_lm(model) -> tuple[list[_Node], str]:
-    nodes: list[_Node] = [
-        _SlicedEmbeddingNode(model.embedding),
-        _PosNode(model.pos),
-        *_build_transformer_blocks(model),
-        _LayerNormNode(model.ln_f),
-        _LinearNode(model.decoder, relu=False),
-        _LogSoftmaxNode(),
-    ]
-    return nodes, "tlm"
-
-
-def _find_builder(model):
-    from ..models.mlp import MLP
-    from ..models.nnlm import NNLM
-    from ..models.transformer import TransformerEncoder, TransformerLM
-    from ..models.vgg import SlicedVGG
-
-    if isinstance(model, MLP):
-        return _build_mlp
-    if isinstance(model, NNLM):
-        return _build_nnlm
-    if isinstance(model, SlicedVGG):
-        return _build_vgg
-    if isinstance(model, TransformerEncoder):
-        return _build_transformer_encoder
-    if isinstance(model, TransformerLM):
-        return _build_transformer_lm
-    return None
+                f"no resumable compiler for norm {type(layer).__name__}")
+        return _GroupNormNode(layer, relu=op.relu)
+    if op.kind == "pool":
+        return _PoolNode(compile_layer(layer, 1.0), "pool")
+    if op.kind == "global_pool":
+        return _PoolNode(GlobalAvgPoolStep(), "global_pool")
+    if op.kind == "embedding":
+        return _EmbeddingNode(layer)
+    if op.kind == "lstm":
+        return _LSTMNode(layer)
+    if op.kind == "positional":
+        return _PosNode(layer)
+    if op.kind == "attention":
+        return _AttentionBlockNode(layer.ln1, layer.attn)
+    if op.kind == "ffn":
+        return _FFNBlockNode(layer.ln2, layer.fc1, layer.fc2)
+    if op.kind == "layernorm":
+        return _LayerNormNode(layer)
+    if op.kind == "mean_pool":
+        return _MeanPoolNode(axis=1)
+    if op.kind == "log_softmax":
+        return _LogSoftmaxNode()
+    raise PlanError(f"no resumable node for op kind {op.kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -1078,7 +998,7 @@ class ResumablePlan:
     Parameters
     ----------
     model:
-        A supported sliced model (MLP, NNLM, SlicedVGG,
+        A sliced model with a family declaration (MLP, NNLM, SlicedVGG,
         TransformerEncoder, TransformerLM).
     profile:
         The starting (narrow) slice profile; scalar rates coerce.
@@ -1097,18 +1017,17 @@ class ResumablePlan:
     """
 
     def __init__(self, model, profile, exact: bool = True):
-        builder = _find_builder(model)
-        if builder is None:
+        self.family = family_of(model)
+        if self.family is None:
             raise PlanError(
                 f"no resumable compiler for model {type(model).__name__}")
         self.model = model
         self.profile = as_profile(profile)
         self.exact = bool(exact)
-        self.nodes, self._kind = builder(model)
+        self.nodes = self._build_nodes()
         self._sources = [(p, p.version) for p in model.parameters()]
         self._inputs = None
         self._output = None
-        self._shape = None  # (steps, batch) for the NNLM runner
         self.history: list[SliceProfile] = []
         self.spent_madds = 0
         self.scratch_madds = 0
@@ -1191,7 +1110,7 @@ class ResumablePlan:
         """
         if self._inputs is None:
             raise PlanError("subset() before run(): nothing to restrict")
-        if self._kind in ("nnlm", "tenc", "tlm"):
+        if not self.family.row_subset:
             raise PlanError(
                 "subset() is not supported for sequence and transformer "
                 "models: their decoders flatten time and batch together "
@@ -1201,11 +1120,9 @@ class ResumablePlan:
         clone.model = self.model
         clone.profile = self.profile
         clone.exact = self.exact
-        clone._kind = self._kind
+        clone.family = self.family
         clone._sources = self._sources
-        clone.nodes = []
-        builder = _find_builder(self.model)
-        clone.nodes, _ = builder(self.model)
+        clone.nodes = self._build_nodes()
         for mine, theirs in zip(self.nodes, clone.nodes):
             theirs.__dict__.update({
                 k: v for k, v in mine.__dict__.items()
@@ -1214,7 +1131,6 @@ class ResumablePlan:
         clone._inputs = self._inputs[rows]
         clone._output = None if self._output is None \
             else self._output[rows]
-        clone._shape = None
         clone.history = list(self.history)
         clone.spent_madds = 0
         clone.scratch_madds = 0
@@ -1222,94 +1138,30 @@ class ResumablePlan:
         return clone
 
     # -- internals -------------------------------------------------------
+    def _build_nodes(self) -> list[_Node]:
+        return [_node(op) for op in self.family.ops(self.model)]
+
     def _execute(self, x, profile: SliceProfile, from_scratch: bool,
                  exact: bool = True):
         report: list[dict] = []
-        if self._kind == "nnlm":
-            return self._execute_nnlm(x, profile, from_scratch, exact)
-        if self._kind in ("tenc", "tlm"):
-            return self._execute_transformer(x, profile, from_scratch, exact)
         changed = False
-        for node in self.nodes:
+
+        def apply(node, value):
+            nonlocal changed
             if from_scratch:
-                x, changed, spent, full = node.run(x, profile)
+                out, changed, spent, full = node.run(value, profile)
             else:
-                x, changed, spent, full = node.widen(x, profile,
-                                                     changed, exact)
-            report.append({"name": node.name, "spent": spent,
-                           "full": full, "saved": full - spent,
-                           "reused": not changed})
-        return x, report
-
-    def _execute_nnlm(self, tokens, profile: SliceProfile,
-                      from_scratch: bool, exact: bool):
-        embed, lstm, decoder, softmax = self.nodes
-        steps, batch = tokens.shape
-        report: list[dict] = []
-
-        def apply(node, value, changed):
-            if from_scratch:
-                out, chg, spent, full = node.run(value, profile)
-            else:
-                out, chg, spent, full = node.widen(value, profile,
-                                                   changed, exact)
-            report.append({"name": node.name, "spent": spent,
-                           "full": full, "saved": full - spent,
-                           "reused": not chg})
-            return out, chg
-
-        x, changed = apply(embed, tokens, False)
-        hidden, changed = apply(lstm, x, changed)
-        flat = hidden.reshape(steps * batch, hidden.shape[-1])
-        logits, changed = apply(decoder, flat, changed)
-        out, _ = apply(softmax, logits, changed)
-        self._shape = (steps, batch)
-        return out.reshape(steps, batch, -1), report
-
-    def _execute_transformer(self, x, profile: SliceProfile,
-                             from_scratch: bool, exact: bool):
-        report: list[dict] = []
-
-        def apply(node, value, changed):
-            if from_scratch:
-                out, chg, spent, full = node.run(value, profile)
-            else:
-                out, chg, spent, full = node.widen(value, profile,
-                                                   changed, exact)
+                out, changed, spent, full = node.widen(value, profile,
+                                                       changed, exact)
             entry = {"name": node.name, "spent": spent, "full": full,
-                     "saved": full - spent, "reused": not chg}
+                     "saved": full - spent, "reused": not changed}
             note = getattr(node, "last_note", None)
             if note:
                 entry["note"] = note
             report.append(entry)
-            return out, chg
+            return out
 
-        nodes = self.nodes
-        if self._kind == "tenc":
-            patches = self.model.patchify(x)
-            b, t, patch_dim = patches.shape
-            h, changed = apply(nodes[0], _f32(patches.reshape(b * t,
-                                                              patch_dim)),
-                               False)
-            h = h.reshape(b, t, -1)
-        else:
-            steps, batch = x.shape
-            h, changed = apply(nodes[0], x, False)
-        h, changed = apply(nodes[1], h, changed)
-        tail = 4 if self._kind == "tenc" else 3
-        for node in nodes[2:len(nodes) - tail]:
-            h, changed = apply(node, h, changed)
-        h, changed = apply(nodes[-tail], h, changed)  # final LayerNorm
-        if self._kind == "tenc":
-            h, changed = apply(nodes[-3], h, changed)  # mean pool
-            logits, changed = apply(nodes[-2], h, changed)
-            out, _ = apply(nodes[-1], logits, changed)
-            return out, report
-        flat = h.reshape(steps * batch, h.shape[-1])
-        logits, changed = apply(nodes[-2], flat, changed)
-        out, _ = apply(nodes[-1], logits, changed)
-        self._shape = (steps, batch)
-        return out.reshape(steps, batch, -1), report
+        return self.family.execute(self.model, self.nodes, x, apply), report
 
     def __repr__(self) -> str:
         return (f"ResumablePlan({type(self.model).__name__}, "

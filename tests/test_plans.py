@@ -636,18 +636,20 @@ class TestIntegrations:
                 (_sliced(model, x, rate).argmax(axis=-1) == labels).mean())
             assert table[rate] == pytest.approx(expected)
 
-    def test_anytime_reuses_base_plan_until_mutation(self, rng):
+    def test_anytime_follows_parameter_mutation(self, rng):
         from repro.anytime import AnytimeMLP
+        from repro.slicing import ResumablePlan
         model = MLP(12, [16, 16], 4, num_groups=4, seed=0)
         engine = AnytimeMLP(model, [0.25, 0.5, 1.0])
         x = rng.normal(size=(5, 12)).astype(np.float32)
-        first = engine.run(x)
-        second = engine.run(x)
-        assert engine.plan_compiles == 1
-        np.testing.assert_array_equal(first[-1].logits, second[-1].logits)
-        model.head.weight.data = model.head.weight.data * 1.1
-        engine.run(x)
-        assert engine.plan_compiles == 2
+        before = engine.run(x)[-1].logits
+        model.head.weight.data *= 1.1
+        final = engine.run(x)[-1].logits
+        plan = ResumablePlan(model, 0.25, exact=False)
+        plan.run(x)
+        plan.widen(0.5)
+        np.testing.assert_array_equal(final, plan.widen(1.0))
+        assert not np.array_equal(final, before)
 
 
 # ----------------------------------------------------------------------
@@ -664,8 +666,7 @@ class TestResumablePlanParity:
         x = rng.normal(size=(5, 12)).astype(np.float32)
         for rate in RATES_G4:
             resumable = ResumablePlan(model, rate).run(x)
-            compiled = compile_plan(model, rate,
-                                    fold_rescale=False).run(x)
+            compiled = compile_plan(model, rate).run(x)
             np.testing.assert_allclose(resumable, np.asarray(compiled),
                                        rtol=1e-5, atol=1e-6)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SliceRateError
-from repro.models import NNLM, SlicedVGG
+from repro.models import MLP, NNLM, SlicedVGG
 from repro.nn import BatchNorm2d, Conv2d, Linear, ReLU, Sequential
 from repro.slicing import (
     LayerProfile,
@@ -15,11 +15,11 @@ from repro.slicing import (
     SlicedGroupNorm,
     SlicedLinear,
     materialize_subnet,
+    scratch_madds,
     slice_profile,
     slice_rate,
     upgrade_model,
 )
-from repro.slicing.incremental import forward_narrow, full_cost, widen
 from repro.tensor import Tensor, no_grad
 
 
@@ -97,63 +97,73 @@ class TestUpgradeModel:
 
 
 class TestIncrementalWidening:
-    def make_layer(self, rng, rescale=False):
-        layer = SlicedLinear(16, 16, rescale=rescale,
-                             rng=np.random.default_rng(0))
-        return layer
+    """Sec. 3.5 reuse through ``ResumablePlan(exact=False)``.
+
+    One hidden layer: its input is never sliced, so widening leaves the
+    head's cached input block a true prefix — the case where reusing
+    ``ya`` is exact (up to float rounding).
+    """
+
+    def make_mlp(self, rescale=False):
+        return MLP(16, [16], 4, rescale=rescale, seed=0)
+
+    @staticmethod
+    def direct(model, x, rate):
+        with no_grad(), slice_rate(rate):
+            return model(Tensor(x)).data
+
+    def narrow_plan(self, model, x, rate=0.5):
+        plan = ResumablePlan(model, rate, exact=False)
+        plan.run(x)
+        return plan
 
     def test_exact_widening_matches_direct(self, rng):
-        layer = self.make_layer(rng)
-        x_wide = rng.normal(size=(4, 16)).astype(np.float32)
-        x_narrow = x_wide[:, :8]
-        _, state = forward_narrow(layer, x_narrow, 0.5)
-        widened, _ = widen(layer, x_wide, 1.0, state, exact=True)
-        with slice_rate(1.0):
-            direct = layer(Tensor(x_wide)).data
-        np.testing.assert_allclose(widened, direct, rtol=1e-4, atol=1e-5)
+        model = self.make_mlp()
+        x = rng.normal(size=(4, 16)).astype(np.float32)
+        widened = self.narrow_plan(model, x).widen(1.0, exact=True)
+        np.testing.assert_allclose(widened, self.direct(model, x, 1.0),
+                                   rtol=1e-4, atol=1e-5)
 
     def test_approximate_widening_matches_when_inputs_prefix(self, rng):
         """With the narrow input a true prefix, ya reuse is exact."""
-        layer = self.make_layer(rng)
-        x_wide = rng.normal(size=(4, 16)).astype(np.float32)
-        _, state = forward_narrow(layer, x_wide[:, :8], 0.5)
-        approx, _ = widen(layer, x_wide, 1.0, state, exact=False)
-        with slice_rate(1.0):
-            direct = layer(Tensor(x_wide)).data
-        np.testing.assert_allclose(approx, direct, rtol=1e-4, atol=1e-5)
+        model = self.make_mlp()
+        x = rng.normal(size=(4, 16)).astype(np.float32)
+        approx = self.narrow_plan(model, x).widen(1.0)
+        np.testing.assert_allclose(approx, self.direct(model, x, 1.0),
+                                   rtol=1e-4, atol=1e-5)
 
     def test_approximate_widening_with_rescale(self, rng):
-        layer = self.make_layer(rng, rescale=True)
-        x_wide = rng.normal(size=(4, 16)).astype(np.float32)
-        _, state = forward_narrow(layer, x_wide[:, :8], 0.5)
-        approx, _ = widen(layer, x_wide, 1.0, state, exact=False)
-        with slice_rate(1.0):
-            direct = layer(Tensor(x_wide)).data
-        np.testing.assert_allclose(approx, direct, rtol=1e-3, atol=1e-4)
+        model = self.make_mlp(rescale=True)
+        x = rng.normal(size=(4, 16)).astype(np.float32)
+        approx = self.narrow_plan(model, x).widen(1.0)
+        np.testing.assert_allclose(approx, self.direct(model, x, 1.0),
+                                   rtol=1e-3, atol=1e-4)
 
     def test_flops_saved_vs_full_recompute(self, rng):
-        layer = self.make_layer(rng)
-        x_wide = rng.normal(size=(4, 16)).astype(np.float32)
-        _, state = forward_narrow(layer, x_wide[:, :8], 0.5)
-        _, spent = widen(layer, x_wide, 1.0, state, exact=False)
-        full = full_cost(layer, 4, 1.0)
-        narrow = full_cost(layer, 4, 0.5)
-        assert spent == full - narrow
+        model = self.make_mlp()
+        x = rng.normal(size=(4, 16)).astype(np.float32)
+        plan = self.narrow_plan(model, x)
+        before = plan.spent_madds
+        plan.widen(1.0)
+        assert plan.spent_madds - before == \
+            scratch_madds(model, 1.0, 4) - scratch_madds(model, 0.5, 4)
 
     def test_cannot_widen_downward(self, rng):
-        layer = self.make_layer(rng)
+        model = self.make_mlp()
         x = rng.normal(size=(2, 16)).astype(np.float32)
-        _, state = forward_narrow(layer, x, 1.0)
+        plan = self.narrow_plan(model, x, rate=1.0)
         with pytest.raises(SliceRateError):
-            widen(layer, x[:, :8], 0.5, state)
+            plan.widen(0.5)
 
     def test_same_rate_widening_is_identity(self, rng):
-        layer = self.make_layer(rng)
+        model = self.make_mlp()
         x = rng.normal(size=(2, 16)).astype(np.float32)
-        narrow, state = forward_narrow(layer, x[:, :8], 0.5)
-        again, spent = widen(layer, x[:, :8], 0.5, state, exact=False)
+        plan = self.narrow_plan(model, x)
+        narrow = plan.output
+        before = plan.spent_madds
+        again = plan.widen(0.5)
         np.testing.assert_allclose(again, narrow, rtol=1e-5)
-        assert spent == 0
+        assert plan.spent_madds == before
 
 
 class TestResumeFallback:
