@@ -94,7 +94,6 @@ from .plans import (
 )
 from .resume import (
     ResumablePlan,
-    compile_resumable,
     pointwise_nested,
     scratch_madds,
 )
@@ -157,7 +156,6 @@ __all__ = [
     "get_plan",
     "shared_cache",
     "ResumablePlan",
-    "compile_resumable",
     "pointwise_nested",
     "scratch_madds",
     "families",

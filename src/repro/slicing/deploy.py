@@ -29,6 +29,7 @@ from ..nn.norm import GroupNorm
 from ..nn.norm import BatchNorm2d, LayerNorm
 from ..nn.module import Parameter
 from ..nn.recurrent import GRUCell, LSTMCell, RNNCell
+from .plans import _linear_scale, _recurrent_scale
 from .profile import as_profile, named_slice_points
 from .layers import (
     MultiBatchNorm2d,
@@ -53,8 +54,7 @@ def _linear_from(layer: SlicedLinear, rate: float, in_rate: float) -> Linear:
         else layer.in_features
     plain = Linear(in_w, out_w, bias=layer.bias is not None,
                    rng=np.random.default_rng(0))
-    scale = (layer.in_features / in_w) if (layer.rescale and
-                                           layer.slice_input) else 1.0
+    scale = _linear_scale(layer, in_w)
     _set(plain.weight, layer.weight.data[:out_w, :in_w] * scale)
     if layer.bias is not None:
         # The sliced layer rescales (Wx + b); bake the same factor in.
@@ -93,9 +93,7 @@ def _rnn_cell_from(cell: SlicedRNNCell, rate: float,
     in_w = cell.in_partition.width_for(in_rate) if cell.slice_input \
         else cell.input_size
     plain = RNNCell(in_w, hidden, rng=np.random.default_rng(0))
-    scale = 1.0
-    if cell.rescale:
-        scale = (cell.input_size / in_w + cell.hidden_size / hidden) / 2.0
+    scale = _recurrent_scale(cell, in_w, hidden)
     _set(plain.weight_ih, cell.weight_ih.data[:hidden, :in_w] * scale)
     _set(plain.weight_hh, cell.weight_hh.data[:hidden, :hidden] * scale)
     _set(plain.bias, cell.bias.data[:hidden] * scale)
@@ -108,9 +106,7 @@ def _lstm_cell_from(cell: SlicedLSTMCell, rate: float,
     in_w = cell.in_partition.width_for(in_rate) if cell.slice_input \
         else cell.input_size
     plain = LSTMCell(in_w, hidden, rng=np.random.default_rng(0))
-    scale = 1.0
-    if cell.rescale:
-        scale = (cell.input_size / in_w + cell.hidden_size / hidden) / 2.0
+    scale = _recurrent_scale(cell, in_w, hidden)
     for k, gate in enumerate(("i", "f", "g", "o")):
         w_ih = getattr(cell, f"w_ih_{gate}").data[:hidden, :in_w]
         w_hh = getattr(cell, f"w_hh_{gate}").data[:hidden, :hidden]
@@ -128,9 +124,7 @@ def _gru_cell_from(cell: SlicedGRUCell, rate: float,
     in_w = cell.in_partition.width_for(in_rate) if cell.slice_input \
         else cell.input_size
     plain = GRUCell(in_w, hidden, rng=np.random.default_rng(0))
-    scale = 1.0
-    if cell.rescale:
-        scale = (cell.input_size / in_w + cell.hidden_size / hidden) / 2.0
+    scale = _recurrent_scale(cell, in_w, hidden)
     for k, gate in enumerate(("r", "z", "n")):
         w_ih = getattr(cell, f"w_ih_{gate}").data[:hidden, :in_w]
         w_hh = getattr(cell, f"w_hh_{gate}").data[:hidden, :hidden]

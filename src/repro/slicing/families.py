@@ -11,11 +11,12 @@ adapters around them:
 
 Both executors read these declarations and share :meth:`Family.execute`:
 :func:`~repro.slicing.plans.compile_plan` turns each op into a BLAS
-``PlanStep``, and :class:`~repro.slicing.resume.ResumablePlan` turns it
-into a node that retains its intermediates for Sec. 3.5 widening.  A new
-family built from existing op kinds is one more entry in
-:func:`families`; a new op kind needs a step in ``plans.py`` and a node
-in ``resume.py``.
+``PlanStep``, and :class:`~repro.slicing.resume.ResumablePlan` runs the
+same compiled steps through nodes that retain their intermediates for
+Sec. 3.5 widening.  A new family built from existing op kinds is one
+more entry in :func:`families`.  A new op kind needs a step in
+``plans.py``, and a node class in ``resume.py`` only if it has a
+Sec. 3.5 reuse rule (every other step runs through the generic node).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = ["Op", "Family", "families", "family_of"]
 class Op:
     """One operation of a declared forward pass.
 
-    ``kind`` selects the step and node classes; ``layer`` is the module
+    ``kind`` selects the compiled step; ``layer`` is the module
     the weights come from (the whole transformer block for the
     ``attention`` and ``ffn`` halves); ``relu`` fuses a trailing ReLU;
     ``source`` is the module whose slice point sets the rate of a layer

@@ -402,6 +402,8 @@ class DenseStep(PlanStep):
     """``y = x @ W.T + b`` over a prefix, replaying the live op order."""
 
     kind = "dense"
+    #: Transformer dense layers never rescale (``rescale=False``).
+    scale = 1.0
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray,
                  relu: bool = False):

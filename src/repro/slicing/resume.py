@@ -27,7 +27,7 @@ Two widening modes exist because the paper's reuse is an approximation:
   the step merely gained output columns; everything downstream of the
   first changed activation is recomputed from the retained
   intermediates with the same canonical arithmetic a from-scratch
-  resumable plan uses.
+  resumable pass uses.
 * **approximate mode** (``exact=False``): the paper's Sec. 3.5 rule —
   keep the cached base product ``ya`` even though the widened input
   would perturb it, and spend only the analytic
@@ -37,25 +37,30 @@ Two widening modes exist because the paper's reuse is an approximation:
   mode is the cheaper paper-faithful option for callers that accept
   tolerance-level drift.
 
+The operands come from compiled plans.  By Eq. 2 a narrow pass and its
+widening read prefixes of the same weights, so the plan
+:func:`~repro.slicing.plans.compile_plan` builds at a profile already
+states every width, weight and bias prefix, rescale factor, head count
+and LSTM gate packing a resumable node needs.  A :class:`ResumablePlan`
+compiles one at its starting profile and one at each ``widen`` target,
+and each node reads the old and the target step; no node resolves a
+profile against a layer.  Only the op kinds with a Sec. 3.5 reuse rule
+have a node class of their own (dense, conv, LSTM, attention and FFN);
+every other op runs its compiled step through the generic :class:`_Node`.
+
 Execution mirrors the live sliced forward's operation order (matmul,
 then bias, then the *unfolded* ``full_in/active_in`` rescale, then the
 activation), which keeps the from-scratch resumable pass numerically
-aligned with :func:`~repro.slicing.plans.compile_plan` (equal to float
-tolerance: the compiled plan folds the rescale into its weights and
-runs BLAS, so not bitwise).  Recurrent cells keep the rescale unfolded
-for the same reason, so their cached per-gate input projections stay
-reusable across hidden widths.
+aligned with the compiled plan (equal to float tolerance: the compiled
+plan folds the rescale into its weights and runs BLAS, so not bitwise).
+Recurrent cells keep the rescale unfolded for the same reason, so their
+cached per-gate input projections stay reusable across hidden widths.
 
-The node list and the execution loop come from the model's family
-declaration (:mod:`repro.slicing.families`), the same one
-:func:`~repro.slicing.plans.compile_plan` reads, so every family that
-compiles also resumes.
-
-Plans validate against parameter mutation exactly like
-:class:`~repro.slicing.plans.InferencePlan`: any ``Parameter`` version
-bump after construction makes :meth:`run`/:meth:`widen` raise
-:class:`~repro.errors.PlanError` rather than resume from stale
-intermediates.
+Plans validate against mutation through their compiled plan's
+:meth:`~repro.slicing.plans.InferencePlan.is_valid`: any ``Parameter``
+version bump or rebound running-statistics buffer after construction
+makes :meth:`run`/:meth:`widen` raise :class:`~repro.errors.PlanError`
+rather than resume from stale intermediates.
 
 FLOPs accounting: every ``run``/``widen`` records per-node spent vs
 from-scratch multiply-adds (:attr:`last_report`), and
@@ -65,38 +70,34 @@ number the cascade's ``cascade_flops_saved_total`` counter exports.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 
 from ..errors import PlanError, SliceRateError
 from ..nn.attention import causal_mask, softmax_eval
-from ..nn.embedding import Embedding
 from ..nn.norm import layer_norm_eval
 from .families import Op, family_of
-from .layers import SlicedConv2d, SlicedGroupNorm, SlicedLinear
 from .plans import (
+    AttentionBlockStep,
     ConvStep,
-    GlobalAvgPoolStep,
-    GroupNormStep,
-    _log_softmax,
-    _recurrent_scale,
+    DenseStep,
+    FFNBlockStep,
+    LinearStep,
+    LSTMStackStep,
+    PlanStep,
+    _f32,
     _sigmoid,
-    compile_layer,
+    compile_plan,
 )
 from .profile import SliceProfile, as_profile, named_slice_points
-from .recurrent import SlicedLSTM
 
 __all__ = [
     "ResumablePlan",
-    "compile_resumable",
     "pointwise_nested",
     "scratch_madds",
 ]
-
-
-def _f32(array: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(array, dtype=np.float32)
 
 
 def _cgemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -158,31 +159,56 @@ def pointwise_nested(model, narrow, wide) -> bool:
     return True
 
 
+def _narrower(name: str) -> SliceRateError:
+    return SliceRateError(
+        f"{name}: widen() target is narrower than the cached profile")
+
+
 # ----------------------------------------------------------------------
-# Nodes: stateful resumable steps
+# Nodes: compiled steps plus retained state
 # ----------------------------------------------------------------------
 class _Node:
-    """One resumable step; holds the retained intermediates after a run.
+    """One resumable step; also the node of every op without a reuse rule.
 
-    ``run`` executes from scratch at a profile; ``widen`` moves the
-    cached state to a wider profile.  Both return
-    ``(y, changed, spent, full)`` where ``changed`` says whether the
-    output *prefix values* differ from the cached ones (width growth is
-    visible to the next node through the array shape), ``spent`` is the
-    multiply-adds actually executed and ``full`` the from-scratch cost
-    of this node at the target profile.
+    ``run(step, x)`` executes the compiled ``step`` from scratch;
+    ``widen(step, x, changed_in, exact)`` moves the retained state from
+    the step of the previous run (``self.step``) to the target
+    profile's ``step``.  Both return ``(y, changed, spent, full)``
+    where ``changed`` says whether the output *prefix values* differ
+    from the cached ones (width growth is visible to the next node
+    through the array shape), ``spent`` is the multiply-adds actually
+    executed and ``full`` the from-scratch cost at the target profile.
+
+    This base class serves norms, pools, positional add, layer norm,
+    mean pool, log-softmax and embeddings, none of which the Sec. 3.5
+    cross-term rule covers and all of which are cheap next to the
+    products around them (their cost is not counted).  It returns the
+    cached output while the input is unchanged and the step emits the
+    same width, and otherwise reruns the target step.
     """
 
-    name = "step"
     #: attribute names of retained ndarrays, row-sliceable on axis 0
-    #: (overridden by sequence nodes whose batch axis differs).
-    _cached = ()
+    #: (:meth:`ResumablePlan.subset` only runs for row-subset families).
+    _cached = ("x", "y")
 
-    def run(self, x, profile):
-        raise NotImplementedError
+    def __init__(self, op: Op):
+        self.name = op.kind
+        self.step = self.x = self.y = None
 
-    def widen(self, x, profile, changed_in, exact):
-        raise NotImplementedError
+    def run(self, step: PlanStep, x):
+        y = step(x)
+        if y is getattr(step, "_out", None):
+            # A scratch buffer the step overwrites on its next call.
+            y = y.copy()
+        self.step, self.x, self.y = step, x, y
+        return y, True, 0, 0
+
+    def widen(self, step: PlanStep, x, changed_in, exact):
+        if not changed_in and x.shape == self.x.shape \
+                and step.out_width == self.step.out_width:
+            self.step = step
+            return self.y, False, 0, 0
+        return self.run(step, x)
 
     def take_rows(self, rows) -> None:
         """Restrict the retained intermediates to ``rows`` (batch axis)."""
@@ -193,109 +219,82 @@ class _Node:
 
 
 class _LinearNode(_Node):
-    """A :class:`SlicedLinear` with retained input/raw/output tensors."""
+    """A :class:`LinearStep`/:class:`DenseStep` retaining input/raw/output."""
 
     _cached = ("x", "raw", "y")
 
-    def __init__(self, layer: SlicedLinear, relu: bool = False):
-        self.layer = layer
-        self.relu = bool(relu)
-        self.name = layer.slice_point
-        self.x = self.raw = self.y = None
-        self.in_w = self.out_w = 0
+    def __init__(self, op: Op):
+        super().__init__(op)
+        self.name = op.layer.slice_point
+        self.raw = None
 
-    # -- helpers ---------------------------------------------------------
-    def _out_width(self, profile: SliceProfile) -> int:
-        layer = self.layer
-        if not layer.slice_output:
-            return layer.out_features
-        return layer.out_partition.width_for(
-            profile.rate_for(layer.slice_point))
-
-    def _scale(self, in_w: int) -> float:
-        layer = self.layer
-        if layer.rescale and layer.slice_input and in_w != layer.in_features:
-            return layer.in_features / in_w
-        return 1.0
-
-    def _post(self, raw: np.ndarray, out_lo: int, out_hi: int,
-              in_w: int) -> np.ndarray:
+    @staticmethod
+    def _post(step, raw: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Bias + unfolded rescale + activation, live-forward op order."""
-        layer = self.layer
         y = raw.copy()
-        if layer.bias is not None:
-            y += _f32(layer.bias.data[out_lo:out_hi])
-        scale = self._scale(in_w)
-        if scale != 1.0:
-            y *= scale
-        if self.relu:
+        if step.bias is not None:
+            y += step.bias[lo:hi]
+        if step.scale != 1.0:
+            y *= step.scale
+        if step.relu:
             np.maximum(y, 0.0, out=y)
         return y
 
-    # -- execution -------------------------------------------------------
-    def run(self, x, profile):
-        out_w = self._out_width(profile)
-        in_w = x.shape[-1]
-        raw = _cgemm(x, _f32(self.layer.weight.data[:out_w, :in_w]))
-        y = self._post(raw, 0, out_w, in_w)
-        self.x, self.raw, self.y = x, raw, y
-        self.in_w, self.out_w = in_w, out_w
-        full = _rows(x) * out_w * in_w
+    def run(self, step, x):
+        raw = _cgemm(x, step.weight)
+        y = self._post(step, raw, 0, step.out_width)
+        self.step, self.x, self.raw, self.y = step, x, raw, y
+        full = _rows(x) * step.weight.size
         return y, True, full, full
 
-    def widen(self, x, profile, changed_in, exact):
-        in_old, out_old = self.in_w, self.out_w
-        in_new = x.shape[-1]
-        out_new = self._out_width(profile)
+    def widen(self, step, x, changed_in, exact):
+        out_old, in_old = self.step.weight.shape
+        out_new, in_new = step.weight.shape
         if in_new < in_old or out_new < out_old:
-            raise SliceRateError(
-                f"{self.name}: widen() target is narrower than the "
-                f"cached profile ({in_new}x{out_new} < {in_old}x{out_old})")
+            raise _narrower(self.name)
         batch = _rows(x)
-        full = batch * out_new * in_new
-        weight = self.layer.weight.data
+        full = batch * step.weight.size
         clean = not changed_in and in_new == in_old
 
         if clean and out_new == out_old:
             # Untouched layer: the cached output is the answer.
+            self.step = step
             return self.y, False, 0, full
         if exact and clean:
             # Output-only growth on a bitwise-identical input: under the
             # canonical GEMM each output column is an independent
             # fixed-order accumulation, so the cached prefix extends
             # bitwise and only the new columns are computed.
-            raw_new = _cgemm(x, _f32(weight[out_old:out_new, :in_new]))
-            y_new = self._post(raw_new, out_old, out_new, in_new)
+            raw_new = _cgemm(x, step.weight[out_old:])
+            y_new = self._post(step, raw_new, out_old, out_new)
             self.raw = np.concatenate([self.raw, raw_new], axis=-1)
             self.y = np.concatenate([self.y, y_new], axis=-1)
-            self.x, self.in_w, self.out_w = x, in_new, out_new
+            self.step, self.x = step, x
             spent = batch * (out_new - out_old) * in_new
             return self.y, False, spent, full
         if exact:
             # The input changed (values or width): recompute from the
             # intermediates with from-scratch arithmetic.
-            y, _, spent, full = self.run(x, profile)
+            y, _, spent, full = self.run(step, x)
             return y, True, spent, full
 
         # Paper mode (Sec. 3.5): keep the cached base product ya and add
         # only the cross-term blocks B xb / C xa / D xb.
+        weight = step.weight
         x_a = x[..., :in_old]
         x_b = x[..., in_old:in_new]
         base = self.raw
         if in_new > in_old:
-            base = base + _cgemm(x_b, _f32(weight[:out_old,
-                                                  in_old:in_new]))
+            base = base + _cgemm(x_b, weight[:out_old, in_old:])
         if out_new > out_old:
-            lower = _cgemm(x_a, _f32(weight[out_old:out_new, :in_old]))
+            lower = _cgemm(x_a, weight[out_old:, :in_old])
             if in_new > in_old:
-                lower = lower + _cgemm(
-                    x_b, _f32(weight[out_old:out_new, in_old:in_new]))
+                lower = lower + _cgemm(x_b, weight[out_old:, in_old:])
             raw = np.concatenate([base, lower], axis=-1)
         else:
             raw = base if base is not self.raw else base.copy()
-        y = self._post(raw, 0, out_new, in_new)
-        self.x, self.raw, self.y = x, raw, y
-        self.in_w, self.out_w = in_new, out_new
+        y = self._post(step, raw, 0, out_new)
+        self.step, self.x, self.raw, self.y = step, x, raw, y
         spent = batch * (out_new * in_new - out_old * in_old)
         return y, True, spent, full
 
@@ -309,28 +308,14 @@ class _LSTMNode(_Node):
     the hidden width, so the recurrence itself is always recomputed from
     the retained intermediates — this is the resume-or-recompute
     fallback the dense cross-term rule cannot cover.  Both widening
-    modes share it.
+    modes share it.  Each cell step packs its gates as ``[i, f, g, o]``
+    row blocks of ``hidden`` rows.
     """
 
-    _GATES = ("i", "f", "g", "o")
-
-    def __init__(self, lstm: SlicedLSTM):
-        self.lstm = lstm
-        self.name = "lstm"
-        # Per cell: {"x", "ip", "out", "in_w", "hidden"}.
-        self.cells: list[dict] = [dict() for _ in lstm.cells]
-
-    def _packed_ih(self, cell, lo: int, hi: int, in_w: int) -> np.ndarray:
-        return _f32(np.concatenate([
-            getattr(cell, f"w_ih_{g}").data[lo:hi, :in_w]
-            for g in self._GATES]))
-
-    def _input_projection(self, cell, x, lo: int, hi: int) -> np.ndarray:
-        """``(T, B, 4*(hi-lo))`` raw per-gate input projections."""
-        steps, batch, in_w = x.shape
-        packed = self._packed_ih(cell, lo, hi, in_w)
-        flat = _cgemm(x.reshape(steps * batch, in_w), packed)
-        return flat.reshape(steps, batch, -1)
+    def __init__(self, op: Op):
+        super().__init__(op)
+        # Per cell: {"x", "ip", "out"}.
+        self.cells: list[dict] = [dict() for _ in op.layer.cells]
 
     @staticmethod
     def _graft(ip_old: np.ndarray, ip_new: np.ndarray, h_old: int,
@@ -343,22 +328,19 @@ class _LSTMNode(_Node):
             parts.append(ip_new[..., g * grown:(g + 1) * grown])
         return np.concatenate(parts, axis=-1)
 
-    def _recur(self, cell, ip: np.ndarray, hidden: int,
-               scale: float | None) -> np.ndarray:
+    @staticmethod
+    def _recur(cell, ip: np.ndarray) -> np.ndarray:
         """Run the recurrence over cached input projections."""
         steps, batch = ip.shape[0], ip.shape[1]
-        whh_t = _f32(np.concatenate([
-            getattr(cell, f"w_hh_{g}").data[:hidden, :hidden]
-            for g in self._GATES]).T)
-        bias = _f32(np.concatenate([
-            getattr(cell, f"bias_{g}").data[:hidden] for g in self._GATES]))
+        hidden = cell.hidden
+        whh_t = _f32(cell.weight_hh.T)
         h = np.zeros((batch, hidden), dtype=np.float32)
         c = np.zeros_like(h)
         out = np.empty((steps, batch, hidden), dtype=np.float32)
         for t in range(steps):
-            pre = (ip[t] + h @ whh_t) + bias
-            if scale is not None:
-                pre = pre * scale
+            pre = (ip[t] + h @ whh_t) + cell.bias
+            if cell.scale != 1.0:
+                pre = pre * cell.scale
             i = _sigmoid(pre[:, :hidden])
             f = _sigmoid(pre[:, hidden:2 * hidden])
             g = np.tanh(pre[:, 2 * hidden:3 * hidden])
@@ -368,45 +350,32 @@ class _LSTMNode(_Node):
             out[t] = h
         return out
 
-    def _run_cell(self, cell, state: dict, x, hidden: int
-                  ) -> tuple[np.ndarray, int]:
-        ip = self._input_projection(cell, x, 0, hidden)
-        scale = self._scale_for(cell, x.shape[-1], hidden)
-        out = self._recur(cell, ip, hidden, scale)
-        state.update(x=x, ip=ip, out=out, in_w=x.shape[-1], hidden=hidden)
-        steps, batch = x.shape[0], x.shape[1]
-        cost = steps * batch * 4 * hidden * (x.shape[-1] + hidden)
-        return out, cost
-
     @staticmethod
-    def _scale_for(cell, in_w: int, hidden: int) -> float | None:
-        scale = _recurrent_scale(cell, in_w, hidden)
-        return None if scale == 1.0 else scale
+    def _cost(x, cell) -> int:
+        return _rows(x) * (cell.weight_ih.size + cell.weight_hh.size)
 
-    def _cell_cost(self, x_shape, in_w: int, hidden: int) -> int:
-        steps, batch = x_shape[0], x_shape[1]
-        return steps * batch * 4 * hidden * (in_w + hidden)
+    def _run_cell(self, cell, state: dict, x) -> tuple[np.ndarray, int]:
+        ip = _cgemm(x, cell.weight_ih)
+        out = self._recur(cell, ip)
+        state.update(x=x, ip=ip, out=out)
+        return out, self._cost(x, cell)
 
-    def run(self, x, profile):
+    def run(self, step, x):
         total = 0
-        for cell, state in zip(self.lstm.cells, self.cells):
-            hidden = cell.partition.width_for(
-                profile.rate_for(cell.slice_point))
-            x, cost = self._run_cell(cell, state, x, hidden)
+        for cell, state in zip(step.cells, self.cells):
+            x, cost = self._run_cell(cell, state, x)
             total += cost
+        self.step = step
         return x, True, total, total
 
-    def widen(self, x, profile, changed_in, exact):
+    def widen(self, step, x, changed_in, exact):
         spent = full = 0
         changed = changed_in
-        for cell, state in zip(self.lstm.cells, self.cells):
-            hidden = cell.partition.width_for(
-                profile.rate_for(cell.slice_point))
-            h_old, in_old = state["hidden"], state["in_w"]
-            in_new = x.shape[-1]
-            cost = self._cell_cost(x.shape, in_new, hidden)
-            full += cost
-            clean = not changed and in_new == in_old
+        for old, cell, state in zip(self.step.cells, step.cells,
+                                    self.cells):
+            h_old, hidden = old.hidden, cell.hidden
+            full += self._cost(x, cell)
+            clean = not changed and cell.in_width == old.in_width
             if clean and hidden == h_old:
                 x = state["out"]
                 continue
@@ -416,46 +385,32 @@ class _LSTMNode(_Node):
                 # replay the recurrence (the trajectory and the rescale
                 # both depend on the hidden width, so it cannot be
                 # resumed mid-sequence).
-                ip_new = self._input_projection(cell, x, h_old, hidden)
+                grown = cell.weight_ih.reshape(4, hidden, -1)[:, h_old:]
+                ip_new = _cgemm(x, grown.reshape(-1, cell.in_width))
                 ip = self._graft(state["ip"], ip_new, h_old, hidden)
-                scale = self._scale_for(cell, in_new, hidden)
-                out = self._recur(cell, ip, hidden, scale)
-                state.update(ip=ip, out=out, hidden=hidden)
-                steps, batch = x.shape[0], x.shape[1]
-                spent += steps * batch * 4 * (
-                    (hidden - h_old) * in_new + hidden * hidden)
+                out = self._recur(cell, ip)
+                state.update(ip=ip, out=out)
+                spent += _rows(x) * 4 * (
+                    (hidden - h_old) * cell.in_width + hidden * hidden)
             else:
                 # Input changed: full recompute from the new sequence.
-                out, cost = self._run_cell(cell, state, x, hidden)
+                out, cost = self._run_cell(cell, state, x)
                 spent += cost
             x = out
             changed = True
+        self.step = step
         return x, changed, spent, full
-
-    def take_rows(self, rows) -> None:
-        for state in self.cells:
-            for key in ("x", "ip", "out"):
-                state[key] = state[key][:, rows]
 
 
 class _ConvNode(_Node):
     """A sliced convolution; reuse is output-channel extension only."""
 
-    _cached = ("x", "y")
+    def __init__(self, op: Op):
+        super().__init__(op)
+        self.name = op.layer.slice_point
 
-    def __init__(self, layer: SlicedConv2d):
-        self.layer = layer
-        self.name = layer.slice_point
-        self.x = self.y = None
-        self.in_w = self.out_w = 0
-
-    def _step(self, lo: int, hi: int, in_w: int) -> ConvStep:
-        layer = self.layer
-        bias = None if layer.bias is None else layer.bias.data[lo:hi]
-        return ConvStep(layer.weight.data[lo:hi, :in_w], bias,
-                        stride=layer.stride, padding=layer.padding)
-
-    def _channels(self, x, lo: int, hi: int, in_w: int) -> np.ndarray:
+    @staticmethod
+    def _channels(step: ConvStep, x, lo: int, hi: int) -> np.ndarray:
         """Canonical per-channel execution of output channels [lo, hi).
 
         Each output channel is one independent row of the im2col GEMM;
@@ -463,255 +418,49 @@ class _ConvNode(_Node):
         independent of how many siblings run alongside it, so a later
         channel extension reproduces the cached block bit for bit
         (block-wise ConvStep calls would not: the GEMM kernel — and the
-        contraction order — can change with the output width).
+        contraction order — can change with the output width).  The
+        concatenation copies every channel out of its step's scratch.
         """
-        parts = [np.asarray(self._step(c, c + 1, in_w)(x)).copy()
-                 for c in range(lo, hi)]
-        return np.concatenate(parts, axis=1)
+        return np.concatenate([
+            ConvStep(step.weight[c:c + 1],
+                     None if step.bias is None else step.bias[c:c + 1],
+                     stride=step.stride, padding=step.padding)(x)
+            for c in range(lo, hi)], axis=1)
 
-    def _full(self, x, out_w: int) -> int:
-        kh, kw = self.layer.kernel_size
-        p, s = int(self.layer.padding), int(self.layer.stride)
+    @staticmethod
+    def _madds(step: ConvStep, x, out_w: int) -> int:
+        kh, kw = step.kernel_size
+        p, s = step.padding, step.stride
         h_out = (x.shape[2] + 2 * p - kh) // s + 1
         w_out = (x.shape[3] + 2 * p - kw) // s + 1
         return x.shape[0] * out_w * x.shape[1] * kh * kw * h_out * w_out
 
-    def run(self, x, profile):
-        rate = profile.rate_for(self.layer.slice_point)
-        out_w = self.layer.active_out_channels(rate)
-        in_w = x.shape[1]
-        y = self._channels(x, 0, out_w, in_w)
-        self.x, self.y = x, y
-        self.in_w, self.out_w = in_w, out_w
-        full = self._full(x, out_w)
+    def run(self, step, x):
+        y = self._channels(step, x, 0, step.out_width)
+        self.step, self.x, self.y = step, x, y
+        full = self._madds(step, x, step.out_width)
         return y, True, full, full
 
-    def widen(self, x, profile, changed_in, exact):
-        rate = profile.rate_for(self.layer.slice_point)
-        out_new = self.layer.active_out_channels(rate)
-        in_new = x.shape[1]
-        if in_new < self.in_w or out_new < self.out_w:
-            raise SliceRateError(
-                f"{self.name}: widen() target is narrower than cached")
-        full = self._full(x, out_new)
-        clean = not changed_in and in_new == self.in_w
-        if clean and out_new == self.out_w:
+    def widen(self, step, x, changed_in, exact):
+        out_old, in_old = self.step.out_width, self.step.in_channels
+        out_new, in_new = step.out_width, step.in_channels
+        if in_new < in_old or out_new < out_old:
+            raise _narrower(self.name)
+        full = self._madds(step, x, out_new)
+        clean = not changed_in and in_new == in_old
+        if clean and out_new == out_old:
+            self.step = step
             return self.y, False, 0, full
         if clean:
             # New output channels only, computed with the same canonical
             # per-channel arithmetic run() uses: bitwise extension.
-            extra = self._channels(x, self.out_w, out_new, in_new)
+            extra = self._channels(step, x, out_old, out_new)
             self.y = np.concatenate([self.y, extra], axis=1)
-            spent = self._full(x, out_new - self.out_w)
-            self.x, self.in_w, self.out_w = x, in_new, out_new
+            spent = self._madds(step, x, out_new - out_old)
+            self.step, self.x = step, x
             return self.y, False, spent, full
-        y, _, spent, full = self.run(x, profile)
+        y, _, spent, full = self.run(step, x)
         return y, True, spent, full
-
-
-class _GroupNormNode(_Node):
-    """Per-group normalization; groups are independent, cost is tiny.
-
-    Recomputed whenever anything upstream moved (a norm is far cheaper
-    than the convolutions around it); reused verbatim when the input is
-    untouched.
-    """
-
-    _cached = ("x", "y")
-
-    def __init__(self, layer: SlicedGroupNorm, relu: bool = False):
-        self.layer = layer
-        self.relu = bool(relu)
-        self.name = "norm"
-        self.x = self.y = None
-
-    def _step(self, channels: int) -> GroupNormStep:
-        layer = self.layer
-        return GroupNormStep(layer.weight.data[:channels],
-                             layer.bias.data[:channels],
-                             layer.group_size, layer.eps, relu=self.relu)
-
-    def run(self, x, profile):
-        y = np.asarray(self._step(x.shape[1])(x))
-        self.x, self.y = x, y
-        return y, True, 0, 0
-
-    def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None \
-                and x.shape == self.x.shape:
-            return self.y, False, 0, 0
-        y, _, _, _ = self.run(x, profile)
-        return y, True, 0, 0
-
-
-class _PoolNode(_Node):
-    """Max/avg/global pooling; stateless apart from the cached output."""
-
-    _cached = ("x", "y")
-
-    def __init__(self, step, name: str):
-        self.step = step
-        self.name = name
-        self.x = self.y = None
-
-    def run(self, x, profile):
-        y = np.asarray(self.step(x))
-        self.x, self.y = x, y
-        return y, True, 0, 0
-
-    def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None \
-                and x.shape == self.x.shape:
-            return self.y, False, 0, 0
-        return self.run(x, profile)
-
-
-class _LogSoftmaxNode(_Node):
-    _cached = ("x", "y")
-    name = "log_softmax"
-
-    def __init__(self):
-        self.x = self.y = None
-
-    def run(self, x, profile):
-        y = _log_softmax(x)
-        self.x, self.y = x, y
-        return y, True, 0, 0
-
-    def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None \
-                and x.shape == self.x.shape:
-            return self.y, False, 0, 0
-        return self.run(x, profile)
-
-
-class _EmbeddingNode(_Node):
-    """Token embedding; a width controller widens by appending columns.
-
-    Gathering rows of a column prefix equals the column prefix of the
-    full gather, so column extension is bitwise by construction — no
-    canonical GEMM needed.  An unsliced embedding never changes.
-    """
-
-    _cached = ("y",)
-
-    def __init__(self, layer: Embedding):
-        self.layer = layer
-        self.name = getattr(layer, "slice_point", "embedding")
-        self.tokens = None
-        self.y = None
-        self.width = 0
-
-    def _width(self, profile: SliceProfile) -> int:
-        return self.layer.active_width(
-            profile.rate_for(getattr(self.layer, "slice_point", None)))
-
-    def run(self, tokens, profile):
-        idx = np.asarray(tokens)
-        if idx.dtype.kind not in "iu":
-            raise PlanError("embedding node expects integer token ids")
-        width = self._width(profile)
-        self.tokens = idx
-        self.y = _f32(self.layer.weight.data[:, :width])[idx]
-        self.width = width
-        return self.y, True, 0, 0
-
-    def widen(self, tokens, profile, changed_in, exact):
-        width = self._width(profile)
-        if width < self.width:
-            raise SliceRateError(
-                f"{self.name}: widen() target is narrower than cached")
-        if width == self.width:
-            return self.y, False, 0, 0
-        extra = _f32(self.layer.weight.data[:, self.width:width])
-        self.y = np.concatenate([self.y, extra[self.tokens]], axis=-1)
-        self.width = width
-        return self.y, False, 0, 0
-
-    def take_rows(self, rows) -> None:
-        self.tokens = self.tokens[:, rows]
-        self.y = self.y[:, rows]
-
-
-class _PosNode(_Node):
-    """Learned positional add; elementwise, so prefix-preserving."""
-
-    _cached = ("x", "y")
-    name = "pos"
-
-    def __init__(self, layer):
-        self.layer = layer
-        self.x = self.y = None
-
-    def run(self, x, profile):
-        d = x.shape[-1]
-        t = x.shape[1] if self.layer.batch_first else x.shape[0]
-        table = _f32(self.layer.weight.data[:t, :d])
-        if not self.layer.batch_first:
-            table = table.reshape(t, 1, d)
-        y = x + table
-        self.x, self.y = x, y
-        return y, True, 0, 0
-
-    def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None and x.shape == self.x.shape:
-            return self.y, False, 0, 0
-        y, _, _, _ = self.run(x, profile)
-        # The add is elementwise: growing the width leaves the cached
-        # prefix columns bit-identical, so upstream cleanliness carries.
-        return y, changed_in, 0, 0
-
-
-class _LayerNormNode(_Node):
-    """LayerNorm over the arriving width; stats couple every feature,
-    so any width growth invalidates the cached output (cost ~0 anyway).
-    """
-
-    _cached = ("x", "y")
-    name = "norm"
-
-    def __init__(self, layer):
-        self.layer = layer
-        self.x = self.y = None
-
-    def run(self, x, profile):
-        d = x.shape[-1]
-        y = layer_norm_eval(x, _f32(self.layer.weight.data[:d]),
-                            _f32(self.layer.bias.data[:d]), self.layer.eps)
-        self.x, self.y = x, y
-        return y, True, 0, 0
-
-    def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None and x.shape == self.x.shape:
-            return self.y, False, 0, 0
-        y, _, _, _ = self.run(x, profile)
-        return y, True, 0, 0
-
-
-class _MeanPoolNode(_Node):
-    """Sequence mean pool (encoder readout); recomputed when upstream
-    moved — summation order may shift with the feature width, so width
-    growth conservatively marks the output changed.
-    """
-
-    _cached = ("x", "y")
-    name = "mean_pool"
-
-    def __init__(self, axis: int = 1):
-        self.axis = axis
-        self.x = self.y = None
-
-    def run(self, x, profile):
-        count = x.shape[self.axis]
-        y = x.sum(axis=self.axis) * (1.0 / count)
-        self.x, self.y = x, y
-        return y, True, 0, 0
-
-    def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None and x.shape == self.x.shape:
-            return self.y, False, 0, 0
-        y, _, _, _ = self.run(x, profile)
-        return y, True, 0, 0
 
 
 class _AttentionBlockNode(_Node):
@@ -729,42 +478,35 @@ class _AttentionBlockNode(_Node):
     and adds only the new heads' cross-term (the Sec. 3.5 rule).
     """
 
-    _cached = ("xc", "hx_flat", "ctx", "raw", "y")
-
-    def __init__(self, ln, attn):
-        self.ln = ln
-        self.attn = attn
-        self.name = attn.slice_point
-        self.xc = self.hx_flat = self.ctx = self.raw = self.y = None
-        self.heads = self.d = 0
+    def __init__(self, op: Op):
+        super().__init__(op)
+        self.name = op.layer.attn.slice_point
+        self.xc = self.hx_flat = self.ctx = self.raw = None
         self.last_note = None
 
     # -- helpers ---------------------------------------------------------
-    def _active_heads(self, profile: SliceProfile) -> int:
-        return self.attn.active_heads(
-            profile.rate_for(self.attn.slice_point))
-
-    def _full(self, b: int, t: int, d: int, heads: int) -> int:
-        dk = self.attn.head_dim
-        inner = heads * dk
-        return b * t * 3 * inner * d + 2 * b * heads * t * t * dk \
+    @staticmethod
+    def _madds(step: AttentionBlockStep, b: int, t: int) -> int:
+        dk = step.head_dim
+        d = step.ln_gamma.shape[0]
+        inner = step.heads * dk
+        return b * t * 3 * inner * d + 2 * b * step.heads * t * t * dk \
             + b * t * d * inner
 
-    def _head_qkv(self, hx_flat, head: int, d: int, b: int, t: int):
+    def _head_qkv(self, step, head: int, b: int, t: int):
         """Head ``head``'s q, k, v as ``(b, t, d_k)`` arrays."""
-        dk = self.attn.head_dim
-        weight = self.attn.qkv_weight.data
-        bias = self.attn.qkv_bias.data
+        dk = step.head_dim
         base = 3 * dk * head
         parts = []
         for j in range(3):
             lo, hi = base + j * dk, base + (j + 1) * dk
-            raw = _cgemm(hx_flat, _f32(weight[lo:hi, :d]))
-            parts.append((raw + _f32(bias[lo:hi])).reshape(b, t, dk))
+            raw = _cgemm(self.hx_flat, step.qkv_weight[lo:hi])
+            parts.append((raw + step.qkv_bias[lo:hi]).reshape(b, t, dk))
         return parts
 
-    def _head_ctx(self, q, k, v, mask, b: int, t: int) -> np.ndarray:
-        dk = self.attn.head_dim
+    @staticmethod
+    def _head_ctx(step, q, k, v, mask, b: int, t: int) -> np.ndarray:
+        dk = step.head_dim
         scale = 1.0 / math.sqrt(dk)
         ctx = np.empty((b, t, dk), dtype=np.float32)
         for i in range(b):
@@ -775,90 +517,83 @@ class _AttentionBlockNode(_Node):
             ctx[i] = _cgemm(probs, np.ascontiguousarray(v[i].T))
         return ctx
 
-    def _project(self, ctx: np.ndarray, d: int) -> np.ndarray:
+    def _heads(self, step, lo: int, hi: int, b: int, t: int) -> np.ndarray:
+        """Context blocks of heads [lo, hi) as ``(b, hi - lo, t, d_k)``."""
+        mask = causal_mask(t) if step.causal else None
+        ctx = np.empty((b, hi - lo, t, step.head_dim), dtype=np.float32)
+        for h in range(lo, hi):
+            q, k, v = self._head_qkv(step, h, b, t)
+            ctx[:, h - lo] = self._head_ctx(step, q, k, v, mask, b, t)
+        return ctx
+
+    def _project(self, step, ctx: np.ndarray) -> np.ndarray:
         """Full output projection + residual from the context blocks."""
         b, heads, t, dk = ctx.shape
         flat = np.ascontiguousarray(
             np.moveaxis(ctx, 1, 2)).reshape(b * t, heads * dk)
-        self.raw = _cgemm(flat, _f32(self.attn.proj_weight.data[:d,
-                                                                :heads * dk]))
-        out = self.raw + _f32(self.attn.proj_bias.data[:d])
-        return self.xc + out.reshape(b, t, d)
+        self.raw = _cgemm(flat, step.proj_weight)
+        out = self.raw + step.proj_bias
+        return self.xc + out.reshape(b, t, -1)
 
-    def _layout(self, y: np.ndarray) -> np.ndarray:
-        if self.attn.batch_first:
+    @staticmethod
+    def _layout(step, y: np.ndarray) -> np.ndarray:
+        if step.batch_first:
             return y
         return np.ascontiguousarray(np.swapaxes(y, 0, 1))
 
     # -- execution -------------------------------------------------------
-    def run(self, x, profile):
+    def run(self, step, x):
         self.last_note = None
-        attn = self.attn
-        heads = self._active_heads(profile)
-        xc = x if attn.batch_first \
+        xc = x if step.batch_first \
             else np.ascontiguousarray(np.swapaxes(x, 0, 1))
         b, t, d = xc.shape
-        hx = layer_norm_eval(xc, _f32(self.ln.weight.data[:d]),
-                             _f32(self.ln.bias.data[:d]), self.ln.eps)
+        hx = layer_norm_eval(xc, step.ln_gamma, step.ln_beta, step.eps)
         self.xc = xc
         self.hx_flat = _f32(hx.reshape(b * t, d))
-        mask = causal_mask(t) if attn.causal else None
-        ctx = np.empty((b, heads, t, attn.head_dim), dtype=np.float32)
-        for h in range(heads):
-            q, k, v = self._head_qkv(self.hx_flat, h, d, b, t)
-            ctx[:, h] = self._head_ctx(q, k, v, mask, b, t)
-        self.ctx = ctx
-        y = self._layout(self._project(ctx, d))
-        self.y = y
-        self.heads, self.d = heads, d
-        full = self._full(b, t, d, heads)
-        return y, True, full, full
+        self.ctx = self._heads(step, 0, step.heads, b, t)
+        self.y = self._layout(step, self._project(step, self.ctx))
+        self.step = step
+        full = self._madds(step, b, t)
+        return self.y, True, full, full
 
-    def widen(self, x, profile, changed_in, exact):
+    def widen(self, step, x, changed_in, exact):
         self.last_note = None
-        attn = self.attn
-        dk = attn.head_dim
-        heads_new = self._active_heads(profile)
-        d_new = x.shape[-1]
-        if heads_new < self.heads or d_new < self.d:
-            raise SliceRateError(
-                f"{self.name}: widen() target is narrower than cached")
+        old = self.step
+        dk = step.head_dim
+        d_old, d_new = old.ln_gamma.shape[0], step.ln_gamma.shape[0]
+        if step.heads < old.heads or d_new < d_old:
+            raise _narrower(self.name)
         b, _, t, _ = self.ctx.shape
-        full = self._full(b, t, d_new, heads_new)
-        clean = not changed_in and d_new == self.d
-        if clean and heads_new == self.heads:
+        full = self._madds(step, b, t)
+        clean = not changed_in and d_new == d_old
+        if clean and step.heads == old.heads:
+            self.step = step
             return self.y, False, 0, full
         if clean:
-            grown = heads_new - self.heads
-            mask = causal_mask(t) if attn.causal else None
-            extra = np.empty((b, grown, t, dk), dtype=np.float32)
-            for h in range(self.heads, heads_new):
-                q, k, v = self._head_qkv(self.hx_flat, h, d_new, b, t)
-                extra[:, h - self.heads] = self._head_ctx(q, k, v, mask, b, t)
+            grown = step.heads - old.heads
+            extra = self._heads(step, old.heads, step.heads, b, t)
             ctx = np.concatenate([self.ctx, extra], axis=1)
             spent = b * t * 3 * grown * dk * d_new \
                 + 2 * b * grown * t * t * dk
             if exact:
                 # proj input columns grew: canonical full recompute keeps
                 # the guarantee (every column's accumulation is fixed).
-                y = self._layout(self._project(ctx, d_new))
-                spent += b * t * d_new * heads_new * dk
+                y = self._layout(step, self._project(step, ctx))
+                spent += b * t * d_new * step.heads * dk
             else:
                 flat = np.ascontiguousarray(
                     np.moveaxis(extra, 1, 2)).reshape(b * t, grown * dk)
                 self.raw = self.raw + _cgemm(
-                    flat, _f32(attn.proj_weight.data[
-                        :d_new, self.heads * dk:heads_new * dk]))
-                out = self.raw + _f32(attn.proj_bias.data[:d_new])
-                y = self._layout(self.xc + out.reshape(b, t, d_new))
+                    flat, step.proj_weight[:, old.heads * dk:])
+                out = self.raw + step.proj_bias
+                y = self._layout(step, self.xc + out.reshape(b, t, d_new))
                 spent += b * t * d_new * grown * dk
-            self.ctx, self.y = ctx, y
-            self.heads = heads_new
+            self.ctx, self.y, self.step = ctx, y, step
             self.last_note = "per-head recompute"
             return y, True, spent, full
         # Residual width or input values changed: the LayerNorm stats
         # moved, so nothing cached survives — recompute from scratch.
-        y, _, spent, full = self.run(x, profile)
+        y, _, spent, full = self.run(step, x)
         self.last_note = "full recompute"
         return y, True, spent, full
 
@@ -873,120 +608,71 @@ class _FFNBlockNode(_Node):
     paper's approximate rule.
     """
 
-    _cached = ("x", "hx_flat", "hidden", "raw", "y")
+    def __init__(self, op: Op):
+        super().__init__(op)
+        self.name = op.layer.fc1.slice_point
+        self.hx_flat = self.hidden = self.raw = None
 
-    def __init__(self, ln, fc1: SlicedLinear, fc2: SlicedLinear):
-        self.ln = ln
-        self.fc1 = fc1
-        self.fc2 = fc2
-        self.name = fc1.slice_point
-        self.x = self.hx_flat = self.hidden = self.raw = self.y = None
-        self.d = self.f = 0
+    def _hidden_cols(self, step, lo: int, hi: int) -> np.ndarray:
+        raw = _cgemm(self.hx_flat, step.fc1_weight[lo:hi])
+        return np.maximum(raw + step.fc1_bias[lo:hi], 0.0)
 
-    def _widths(self, profile: SliceProfile, d: int) -> int:
-        ffn = self.fc1.out_partition.width_for(
-            profile.rate_for(self.fc1.slice_point))
-        fc2_out = self.fc2.out_partition.width_for(
-            profile.rate_for(self.fc2.slice_point))
-        if fc2_out != d:
-            raise PlanError(
-                f"profile gives fc2 width {fc2_out} but the residual "
-                f"stream is {d} wide; fc2 must stay at the default rate")
-        return ffn
+    def _finish(self, step, raw: np.ndarray) -> np.ndarray:
+        out = raw + step.fc2_bias
+        return self.x + out.reshape(self.x.shape)
 
-    def _hidden_cols(self, lo: int, hi: int, d: int) -> np.ndarray:
-        raw = _cgemm(self.hx_flat, _f32(self.fc1.weight.data[lo:hi, :d]))
-        return np.maximum(raw + _f32(self.fc1.bias.data[lo:hi]), 0.0)
+    @staticmethod
+    def _madds(step, x) -> int:
+        return _rows(x) * (step.fc1_weight.size + step.fc2_weight.size)
 
-    def _finish(self, hidden: np.ndarray, raw: np.ndarray, d: int,
-                shape) -> np.ndarray:
-        out = raw + _f32(self.fc2.bias.data[:d])
-        return self.x + out.reshape(shape)
-
-    def run(self, x, profile):
-        d = x.shape[-1]
-        ffn = self._widths(profile, d)
-        hx = layer_norm_eval(x, _f32(self.ln.weight.data[:d]),
-                             _f32(self.ln.bias.data[:d]), self.ln.eps)
+    def run(self, step, x):
+        hx = layer_norm_eval(x, step.ln_gamma, step.ln_beta, step.eps)
         self.x = x
-        self.hx_flat = _f32(hx.reshape(-1, d))
-        self.hidden = self._hidden_cols(0, ffn, d)
-        self.raw = _cgemm(self.hidden, _f32(self.fc2.weight.data[:d, :ffn]))
-        y = self._finish(self.hidden, self.raw, d, x.shape)
-        self.y = y
-        self.d, self.f = d, ffn
-        rows = self.hx_flat.shape[0]
-        full = 2 * rows * ffn * d
-        return y, True, full, full
+        self.hx_flat = _f32(hx.reshape(-1, x.shape[-1]))
+        self.hidden = self._hidden_cols(step, 0, step.fc1_weight.shape[0])
+        self.raw = _cgemm(self.hidden, step.fc2_weight)
+        self.y = self._finish(step, self.raw)
+        self.step = step
+        full = self._madds(step, x)
+        return self.y, True, full, full
 
-    def widen(self, x, profile, changed_in, exact):
-        d_new = x.shape[-1]
-        ffn_new = self._widths(profile, d_new)
-        if ffn_new < self.f or d_new < self.d:
-            raise SliceRateError(
-                f"{self.name}: widen() target is narrower than cached")
-        rows = int(np.prod(x.shape[:-1]))
-        full = 2 * rows * ffn_new * d_new
-        clean = not changed_in and d_new == self.d
-        if clean and ffn_new == self.f:
+    def widen(self, step, x, changed_in, exact):
+        ffn_old, d_old = self.step.fc1_weight.shape
+        ffn_new, d_new = step.fc1_weight.shape
+        if ffn_new < ffn_old or d_new < d_old:
+            raise _narrower(self.name)
+        rows = _rows(x)
+        full = self._madds(step, x)
+        clean = not changed_in and d_new == d_old
+        if clean and ffn_new == ffn_old:
+            self.step = step
             return self.y, False, 0, full
         if clean:
-            grown = self._hidden_cols(self.f, ffn_new, d_new)
+            grown = self._hidden_cols(step, ffn_old, ffn_new)
             hidden = np.concatenate([self.hidden, grown], axis=-1)
-            spent = rows * (ffn_new - self.f) * d_new
+            spent = rows * (ffn_new - ffn_old) * d_new
             if exact:
-                raw = _cgemm(hidden, _f32(self.fc2.weight.data[:d_new,
-                                                               :ffn_new]))
+                raw = _cgemm(hidden, step.fc2_weight)
                 spent += rows * d_new * ffn_new
             else:
-                raw = self.raw + _cgemm(
-                    grown, _f32(self.fc2.weight.data[:d_new,
-                                                     self.f:ffn_new]))
-                spent += rows * d_new * (ffn_new - self.f)
-            self.hidden, self.raw = hidden, raw
-            y = self._finish(hidden, raw, d_new, x.shape)
-            self.y, self.f = y, ffn_new
-            return y, True, spent, full
-        y, _, spent, full = self.run(x, profile)
+                raw = self.raw + _cgemm(grown, step.fc2_weight[:, ffn_old:])
+                spent += rows * d_new * (ffn_new - ffn_old)
+            self.hidden, self.raw, self.step = hidden, raw, step
+            self.y = self._finish(step, raw)
+            return self.y, True, spent, full
+        y, _, spent, full = self.run(step, x)
         return y, True, spent, full
 
 
-# ----------------------------------------------------------------------
-# Nodes from the family declaration
-# ----------------------------------------------------------------------
-def _node(op: Op) -> _Node:
-    """The resumable node for one declared op."""
-    layer = op.layer
-    if op.kind in ("linear", "dense"):
-        return _LinearNode(layer, relu=op.relu)
-    if op.kind == "conv":
-        return _ConvNode(layer)
-    if op.kind == "norm":
-        if not isinstance(layer, SlicedGroupNorm):
-            raise PlanError(
-                f"no resumable compiler for norm {type(layer).__name__}")
-        return _GroupNormNode(layer, relu=op.relu)
-    if op.kind == "pool":
-        return _PoolNode(compile_layer(layer, 1.0), "pool")
-    if op.kind == "global_pool":
-        return _PoolNode(GlobalAvgPoolStep(), "global_pool")
-    if op.kind == "embedding":
-        return _EmbeddingNode(layer)
-    if op.kind == "lstm":
-        return _LSTMNode(layer)
-    if op.kind == "positional":
-        return _PosNode(layer)
-    if op.kind == "attention":
-        return _AttentionBlockNode(layer.ln1, layer.attn)
-    if op.kind == "ffn":
-        return _FFNBlockNode(layer.ln2, layer.fc1, layer.fc2)
-    if op.kind == "layernorm":
-        return _LayerNormNode(layer)
-    if op.kind == "mean_pool":
-        return _MeanPoolNode(axis=1)
-    if op.kind == "log_softmax":
-        return _LogSoftmaxNode()
-    raise PlanError(f"no resumable node for op kind {op.kind!r}")
+#: Steps with a Sec. 3.5 reuse rule; every other step gets a :class:`_Node`.
+_NODES = {
+    LinearStep: _LinearNode,
+    DenseStep: _LinearNode,
+    ConvStep: _ConvNode,
+    LSTMStackStep: _LSTMNode,
+    AttentionBlockStep: _AttentionBlockNode,
+    FFNBlockStep: _FFNBlockNode,
+}
 
 
 # ----------------------------------------------------------------------
@@ -1024,8 +710,9 @@ class ResumablePlan:
         self.model = model
         self.profile = as_profile(profile)
         self.exact = bool(exact)
-        self.nodes = self._build_nodes()
-        self._sources = [(p, p.version) for p in model.parameters()]
+        self._plan = compile_plan(model, self.profile)
+        self.nodes = [_NODES.get(type(step), _Node)(op) for op, step
+                      in zip(self.family.ops(model), self._plan.steps)]
         self._inputs = None
         self._output = None
         self.history: list[SliceProfile] = []
@@ -1035,20 +722,15 @@ class ResumablePlan:
 
     # -- staleness -------------------------------------------------------
     def is_valid(self) -> bool:
-        """True while no parameter mutated since construction."""
-        current = self.model.parameters()
-        if len(current) != len(self._sources):
-            return False
-        return all(param is source and param.version == version
-                   for param, (source, version)
-                   in zip(current, self._sources))
+        """True while the model still matches the compiled snapshot."""
+        return self._plan.is_valid()
 
     def _check_valid(self, what: str) -> None:
         if not self.is_valid():
             raise PlanError(
-                f"cannot {what}: the model's parameters mutated after this "
-                f"ResumablePlan was compiled; retained intermediates are "
-                f"stale — rebuild the plan")
+                f"cannot {what}: the model's parameters or running "
+                f"statistics changed after this ResumablePlan was compiled; "
+                f"retained intermediates are stale — rebuild the plan")
 
     # -- execution -------------------------------------------------------
     def run(self, inputs) -> np.ndarray:
@@ -1058,7 +740,7 @@ class ResumablePlan:
         if x.dtype.kind not in "iu":
             x = _f32(x)
         self._inputs = x
-        out, report = self._execute(x, self.profile, from_scratch=True)
+        out, report = self._execute(x, self._plan.steps, from_scratch=True)
         self.history = [self.profile]
         self._tally(report)
         self._output = out
@@ -1075,8 +757,10 @@ class ResumablePlan:
                 f"widen() target {target!r} is not pointwise >= the "
                 f"current profile {self.profile!r}")
         exact = self.exact if exact is None else bool(exact)
-        out, report = self._execute(self._inputs, target,
+        plan = compile_plan(self.model, target)
+        out, report = self._execute(self._inputs, plan.steps,
                                     from_scratch=False, exact=exact)
+        self._plan = plan
         self.profile = target
         self.history.append(target)
         self._tally(report)
@@ -1116,18 +800,10 @@ class ResumablePlan:
                 "models: their decoders flatten time and batch together "
                 "(and attention mixes every position)")
         rows = np.asarray(rows)
-        clone = ResumablePlan.__new__(ResumablePlan)
-        clone.model = self.model
-        clone.profile = self.profile
-        clone.exact = self.exact
-        clone.family = self.family
-        clone._sources = self._sources
-        clone.nodes = self._build_nodes()
-        for mine, theirs in zip(self.nodes, clone.nodes):
-            theirs.__dict__.update({
-                k: v for k, v in mine.__dict__.items()
-                if k not in ("layer", "lstm", "step")})
-            theirs.take_rows(rows)
+        clone = copy.copy(self)
+        clone.nodes = [copy.copy(node) for node in self.nodes]
+        for node in clone.nodes:
+            node.take_rows(rows)
         clone._inputs = self._inputs[rows]
         clone._output = None if self._output is None \
             else self._output[rows]
@@ -1138,20 +814,18 @@ class ResumablePlan:
         return clone
 
     # -- internals -------------------------------------------------------
-    def _build_nodes(self) -> list[_Node]:
-        return [_node(op) for op in self.family.ops(self.model)]
-
-    def _execute(self, x, profile: SliceProfile, from_scratch: bool,
+    def _execute(self, x, steps: list[PlanStep], from_scratch: bool,
                  exact: bool = True):
         report: list[dict] = []
         changed = False
 
-        def apply(node, value):
+        def apply(unit, value):
             nonlocal changed
+            node, step = unit
             if from_scratch:
-                out, changed, spent, full = node.run(value, profile)
+                out, changed, spent, full = node.run(step, value)
             else:
-                out, changed, spent, full = node.widen(value, profile,
+                out, changed, spent, full = node.widen(step, value,
                                                        changed, exact)
             entry = {"name": node.name, "spent": spent, "full": full,
                      "saved": full - spent, "reused": not changed}
@@ -1161,17 +835,13 @@ class ResumablePlan:
             report.append(entry)
             return out
 
-        return self.family.execute(self.model, self.nodes, x, apply), report
+        units = list(zip(self.nodes, steps))
+        return self.family.execute(self.model, units, x, apply), report
 
     def __repr__(self) -> str:
         return (f"ResumablePlan({type(self.model).__name__}, "
                 f"profile={self.profile.label()}, "
                 f"exact={self.exact}, widens={max(len(self.history) - 1, 0)})")
-
-
-def compile_resumable(model, profile, exact: bool = True) -> ResumablePlan:
-    """Build a :class:`ResumablePlan` (mirrors :func:`compile_plan`)."""
-    return ResumablePlan(model, profile, exact=exact)
 
 
 def scratch_madds(model, profile, batch: int = 1) -> int:
@@ -1186,16 +856,8 @@ def scratch_madds(model, profile, batch: int = 1) -> int:
     """
     from ..models.mlp import MLP
 
-    profile = as_profile(profile)
     if not isinstance(model, MLP):
         raise PlanError(
             f"scratch_madds supports MLP models, got {type(model).__name__}")
-    total = 0
-    width = model.in_features
-    for layer in list(model.layers) + [model.head]:
-        rate = profile.rate_for(layer.slice_point)
-        out_w = layer.out_partition.width_for(rate) if layer.slice_output \
-            else layer.out_features
-        total += batch * out_w * width
-        width = out_w
-    return total
+    steps = compile_plan(model, as_profile(profile)).steps
+    return batch * sum(step.weight.size for step in steps)

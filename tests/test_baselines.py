@@ -19,7 +19,6 @@ from repro.data import ArrayDataset, DataLoader
 from repro.errors import ConfigError
 from repro.models import MLP, SlicedResNet, SlicedVGG
 from repro.optim import SGD
-from repro.slicing import FixedScheme, slice_rate
 from repro.tensor import Tensor
 
 

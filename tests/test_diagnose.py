@@ -16,7 +16,6 @@ from repro.diagnose import (
     discover_error_slices,
     importance_from_attribution,
     layer_divergence,
-    make_demo_data,
     penultimate_embedding,
     profile_key,
     rank_attribution,

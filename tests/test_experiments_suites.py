@@ -5,7 +5,6 @@ JSON round-trip) in seconds, so protocol regressions surface in the test
 suite rather than in a 20-minute benchmark run.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments import (

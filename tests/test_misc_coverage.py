@@ -2,7 +2,6 @@
 ResNet, and assorted small helpers."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import slimmable_resnet
 from repro.models import SlicedResNet, SlicedVGG

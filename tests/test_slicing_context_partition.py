@@ -1,6 +1,5 @@
 """Unit + property tests for the slice-rate context and group partition."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -47,7 +47,7 @@ from repro.slicing import (
     snap_rate,
 )
 from repro.slicing.plans import AttentionBlockStep, FFNBlockStep
-from repro.tensor import Tensor, no_grad
+from repro.tensor import no_grad
 
 HEADS, FFN_GROUPS = 4, 8
 DEMO_RATES = [i / 8 for i in range(1, 9)]
@@ -246,6 +246,15 @@ class TestResumableWidening:
         widened = plan.widen(head_ffn_profile(lm, 1.0, 1.0))
         assert widened.shape == (10, 3, 61)
         assert plan.flops_saved() > 0
+
+    def test_overlong_sequence_raises_plan_error(self, lm):
+        """Resumable and compiled plans refuse a sequence longer than the
+        positional table with the same error."""
+        tokens = np.zeros((17, 2), dtype=np.int64)  # max_seq is 16
+        with pytest.raises(PlanError, match="positional"):
+            compile_plan(lm, 1.0).run(tokens)
+        with pytest.raises(PlanError, match="positional"):
+            ResumablePlan(lm, 1.0).run(tokens)
 
 
 class TestEmbeddingWidthController:

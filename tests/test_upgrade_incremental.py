@@ -4,7 +4,7 @@ widening (Sec. 3.5 computation reuse)."""
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, SliceRateError
+from repro.errors import ConfigError, PlanError, SliceRateError
 from repro.models import MLP, NNLM, SlicedVGG
 from repro.nn import BatchNorm2d, Conv2d, Linear, ReLU, Sequential
 from repro.slicing import (
@@ -14,6 +14,7 @@ from repro.slicing import (
     SlicedConv2d,
     SlicedGroupNorm,
     SlicedLinear,
+    compile_plan,
     materialize_subnet,
     scratch_madds,
     slice_profile,
@@ -282,3 +283,47 @@ class TestResumeFallback:
         assert not report["decoder"]["reused"]
         self._three_way(model, tokens, chained, wide,
                         rtol=1e-3, atol=1e-4)
+
+
+@pytest.mark.parametrize("norm", ["batch", "multi_bn"])
+class TestResumeBatchNorm:
+    """BN-normalized VGGs resume like group-norm ones, and a rebound
+    running-statistics buffer makes the retained state stale."""
+
+    @staticmethod
+    def vgg(norm, rng):
+        model = SlicedVGG([(8, 1), (8, 1)], in_channels=3, num_classes=4,
+                          num_groups=4, norm=norm, rates=[0.5, 1.0],
+                          seed=7)
+        # Non-trivial running statistics, so the norm steps matter.
+        for module in model.modules():
+            if hasattr(module, "running_mean"):
+                size = module.running_mean.shape
+                module.running_mean = rng.normal(size=size).astype(
+                    np.float32)
+                module.running_var = rng.uniform(0.5, 2.0, size=size).astype(
+                    np.float32)
+        model.eval()
+        return model
+
+    def test_exact_widen_matches_fresh_and_compiled(self, norm, rng):
+        model = self.vgg(norm, rng)
+        x = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
+        plan = ResumablePlan(model, 0.5, exact=True)
+        plan.run(x)
+        widened = plan.widen(1.0)
+        fresh = ResumablePlan(model, 1.0, exact=True).run(x)
+        np.testing.assert_array_equal(widened, fresh)
+        compiled = compile_plan(model, 1.0).run(x)
+        np.testing.assert_allclose(widened, compiled, rtol=1e-4, atol=1e-4)
+
+    def test_rebound_running_mean_invalidates_widen(self, norm, rng):
+        model = self.vgg(norm, rng)
+        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        plan = ResumablePlan(model, 0.5)
+        plan.run(x)
+        norms = [m for m in model.modules() if hasattr(m, "running_mean")]
+        norms[0].running_mean = norms[0].running_mean.copy()
+        assert not plan.is_valid()
+        with pytest.raises(PlanError):
+            plan.widen(1.0)
