@@ -8,6 +8,11 @@ pytest-benchmark.
 
 First run trains all models (roughly 15-25 minutes on one CPU core);
 subsequent runs reuse the disk cache under ``.exp_cache``.
+
+Benchmarks that record a ``BENCH_<name>.json`` artifact at the repo
+root get its path from the ``bench_path`` fixture; smoke runs write
+``BENCH_<name>.smoke.json`` instead and leave the committed full result
+alone.
 """
 
 import os
@@ -22,6 +27,18 @@ from repro.experiments import (
 )
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _bench_path(name: str, smoke: bool) -> str:
+    """Where benchmark ``name`` writes its JSON artifact.
+
+    A full run writes the committed ``BENCH_<name>.json`` at the repo
+    root; a smoke run writes ``BENCH_<name>.smoke.json`` (ignored by
+    git), so a quick run never overwrites a committed full result.
+    """
+    return os.path.join(
+        REPO_ROOT, f"BENCH_{name}{'.smoke' if smoke else ''}.json")
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +74,9 @@ def emit():
             handle.write(text + "\n")
 
     return _emit
+
+
+@pytest.fixture(scope="session")
+def bench_path():
+    """``bench_path(name, smoke)``: the artifact path for one benchmark."""
+    return _bench_path

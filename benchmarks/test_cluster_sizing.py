@@ -26,7 +26,6 @@ Results go to ``BENCH_cluster_sizing.json`` and EXPERIMENTS.md.
 
 import json
 import math
-import os
 
 from repro.cluster import (
     AutoscalerConfig,
@@ -42,10 +41,6 @@ from repro.cluster import (
 from repro.models import MLP
 from repro.runtime.replica import LatencyProfile
 from repro.utils import format_table
-
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_cluster_sizing.json")
 
 ACCURACY = {0.25: 0.62, 0.5: 0.85, 0.75: 0.91, 1.0: 0.94}
 FULL_LATENCY = 0.002
@@ -103,7 +98,7 @@ def _run_scenario(spec, table, node_spec):
     return plan, elastic, fixed_runs, best_fixed
 
 
-def test_elastic_fleet_beats_best_fixed(emit):
+def test_elastic_fleet_beats_best_fixed(emit, bench_path):
     table = _table()
     node_spec = NodeSpec()
     scenarios = {
@@ -143,7 +138,7 @@ def test_elastic_fleet_beats_best_fixed(emit):
         ["scenario", "elastic node-h", "best fixed", "fixed node-h",
          "savings", "elastic accuracy"], rows))
 
-    with open(BENCH_PATH, "w") as handle:
+    with open(bench_path("cluster_sizing", False), "w") as handle:
         json.dump({
             "benchmark": "cluster_sizing",
             "config": {

@@ -16,8 +16,8 @@ it wins at least as many seeds as it loses.
 
 Everything is seeded, so the per-seed deltas — and this benchmark's
 outcome — are deterministic.  Set ``REPRO_DIAGNOSE_SMOKE=1`` (CI does)
-for a smaller run.  Results go to ``BENCH_diagnose.json`` and
-EXPERIMENTS.md.
+for a smaller run.  Results go to ``BENCH_diagnose.json`` (smoke runs:
+``BENCH_diagnose.smoke.json``) and EXPERIMENTS.md.
 """
 
 import json
@@ -37,10 +37,6 @@ from repro.diagnose import (
 from repro.slicing import PlanCache
 from repro.slicing.schemes import RandomScheme
 from repro.utils import format_table
-
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_diagnose.json")
 
 SMOKE = os.environ.get("REPRO_DIAGNOSE_SMOKE") == "1"
 RATES = (0.25, 0.5, 0.75, 1.0)
@@ -94,7 +90,7 @@ def _run_seed(seed):
 
 
 @pytest.mark.slow
-def test_diagnosis_feedback_beats_uniform_scheduling(emit):
+def test_diagnosis_feedback_beats_uniform_scheduling(emit, bench_path):
     results = [_run_seed(seed) for seed in SEEDS]
     deltas = [r["delta"] for r in results]
     mean_delta = float(np.mean(deltas))
@@ -117,7 +113,7 @@ def test_diagnosis_feedback_beats_uniform_scheduling(emit):
         ["seed", f"uniform@{min(RATES)}", f"weighted@{min(RATES)}",
          "delta"], rows))
 
-    with open(BENCH_PATH, "w") as handle:
+    with open(bench_path("diagnose", SMOKE), "w") as handle:
         json.dump({
             "benchmark": "diagnose_feedback",
             "config": {

@@ -12,8 +12,10 @@ smoke) only apply where the machine has the cores to show them —
 ``os.cpu_count()`` gates the assertions, and the measured sweep plus
 the core count always land in ``BENCH_serving_throughput.json`` so a
 run on a bigger box is comparable.  Set ``REPRO_SERVE_SMOKE=1`` (CI
-does) for the small sweep.  Predictions are checked byte-identical to
-an in-process replica before any timing is trusted.
+does) for the small sweep, written to
+``BENCH_serving_throughput.smoke.json`` instead.  Predictions are
+checked byte-identical to an in-process replica before any timing is
+trusted.
 """
 
 import json
@@ -26,10 +28,6 @@ from repro import MLP
 from repro.runtime import LatencyProfile, Replica
 from repro.runtime.workers import ProcessReplicaPool
 from repro.utils import format_table
-
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_serving_throughput.json")
 
 SMOKE = os.environ.get("REPRO_SERVE_SMOKE") == "1"
 SEED = 0
@@ -63,7 +61,7 @@ def _measure(model, batches, workers: int):
     return results, elapsed, rows / elapsed
 
 
-def test_serving_throughput(emit):
+def test_serving_throughput(emit, bench_path):
     model, batches = _workload()
     reference = Replica("ref", LatencyProfile(1.0), model=model)
     expected = [reference.predict(batch, RATE) for batch in batches]
@@ -88,7 +86,7 @@ def test_serving_throughput(emit):
         title=f"Process-pool serving throughput ({cores} cores, "
               f"{'smoke' if SMOKE else 'full'})"))
 
-    with open(BENCH_PATH, "w") as handle:
+    with open(bench_path("serving_throughput", SMOKE), "w") as handle:
         json.dump({
             "benchmark": "serving_throughput",
             "config": {

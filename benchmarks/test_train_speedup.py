@@ -15,7 +15,8 @@ written to ``BENCH_train_step.json`` at the repo root so the speedup is
 tracked across commits.
 
 Set ``REPRO_TRAIN_SMOKE=1`` (CI does) for a quick, noise-tolerant run:
-a smaller input, fewer repeats and a relaxed 1.2x assertion.
+a smaller input, fewer repeats and a relaxed 1.2x assertion, written to
+``BENCH_train_step.smoke.json`` instead.
 """
 
 import json
@@ -37,9 +38,6 @@ MIN_SPEEDUP = 1.2 if SMOKE else 2.0
 BATCH = 16 if SMOKE else 64
 IMAGE = 16 if SMOKE else 32
 RATES = (0.25, 0.5, 0.75, 1.0)
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_train_step.json")
 
 
 def _make_trainer(fast):
@@ -50,7 +48,7 @@ def _make_trainer(fast):
                         rng=np.random.default_rng(7), fast_path=fast)
 
 
-def test_train_step_speedup(emit):
+def test_train_step_speedup(emit, bench_path):
     ref = _make_trainer(False)
     fast = _make_trainer(True)
     rng = np.random.default_rng(0)
@@ -82,7 +80,7 @@ def test_train_step_speedup(emit):
           f"{1e3 / fast_ms:.2f}"],
          ["speedup", f"{speedup:.2f}x", "", ""]]))
 
-    with open(BENCH_PATH, "w") as handle:
+    with open(bench_path("train_step", SMOKE), "w") as handle:
         json.dump({
             "benchmark": "train_step",
             "smoke": SMOKE,

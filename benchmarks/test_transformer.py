@@ -14,8 +14,8 @@ Two claims from the tentpole, measured end to end on the decoder LM:
 Everything is seeded and deterministic.  Set ``REPRO_TRANSFORMER_SMOKE=1``
 (CI does) for a quick run: fewer training steps, a coarser grid, and a
 relaxed 1.2x speedup bar (shared runners cannot guarantee stable
-wall-clock ratios).  Results go to ``BENCH_transformer.json`` and
-``benchmarks/results/``.
+wall-clock ratios).  Results go to ``BENCH_transformer.json`` (smoke
+runs: ``BENCH_transformer.smoke.json``) and ``benchmarks/results/``.
 """
 
 import json
@@ -31,10 +31,6 @@ from repro.optim import SGD, clip_grad_norm
 from repro.slicing import PlanCache, slice_profile
 from repro.tensor import no_grad
 from repro.utils import format_table
-
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_transformer.json")
 
 SMOKE = os.environ.get("REPRO_TRANSFORMER_SMOKE") == "1" \
     or os.environ.get("REPRO_PLAN_SMOKE") == "1"
@@ -137,7 +133,7 @@ def test_lm_plan_speedup(emit):
         f"needs >= {MIN_SPEEDUP}x")
 
 
-def test_head_ffn_frontier(emit):
+def test_head_ffn_frontier(emit, bench_path):
     model = _lm()
     rng = np.random.default_rng(SEED + 1)
     tokens = _stream(rng, 4096)
@@ -183,7 +179,7 @@ def test_head_ffn_frontier(emit):
     assert full["nll"] <= smallest["nll"] + 1e-6
 
     _RESULTS["frontier"] = frontier
-    with open(BENCH_PATH, "w") as handle:
+    with open(bench_path("transformer", SMOKE), "w") as handle:
         json.dump({
             "benchmark": "transformer",
             "config": {

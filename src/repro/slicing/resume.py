@@ -22,7 +22,10 @@ Two widening modes exist because the paper's reuse is an approximation:
   therefore computes its dense products with :func:`_cgemm`, a
   canonical fixed-order accumulation whose every output element depends
   only on its own input row and weight row — making column extension
-  *and* row subsetting reproducible by construction.  Exact mode then
+  *and* row subsetting reproducible by construction.  The kernel is
+  vectorized over rows and columns and its Python loop runs over K
+  only (one ``(M, N)`` add per k); it is still well behind a BLAS GEMM,
+  which is the price exact mode pays for reproducibility.  Exact mode then
   reuses cached work only where a step's input is bitwise unchanged and
   the step merely gained output columns; everything downstream of the
   first changed activation is recomputed from the retained
@@ -100,29 +103,50 @@ __all__ = [
 ]
 
 
+#: Size of the per-chunk product temporary in :func:`_cgemm`, in bytes.
+_CHUNK_BYTES = 1 << 20
+
+
+def _k_first(a: np.ndarray) -> np.ndarray:
+    """View of ``a`` with its last (contraction) axis moved to the front."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
 def _cgemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Canonical ``x @ w.T`` for ``(M, K) x (N, K)`` float32 operands.
 
-    Fixed left-to-right axpy accumulation, vectorized across the batch:
-    ``out[:, j] = ((x[:, 0] * w[j, 0]) + x[:, 1] * w[j, 1]) + ...``.
-    Every output element depends only on its own input row and weight
-    row, so computing extra columns (N growth) or a row subset (M
-    shrink) reproduces the remaining elements bit for bit — the
-    property exact-mode widening and :meth:`ResumablePlan.subset` are
-    built on, and one BLAS GEMMs do *not* provide (kernel choice, and
-    with it the K summation order, varies with the output shape).
-    Leading axes beyond the first are flattened into rows and restored.
+    Every output element is its K float32 products summed left to
+    right: ``out[i, j] = fl(...fl(fl(x[i,0]*w[j,0]) + fl(x[i,1]*w[j,1]))
+    + ...)``.  Each element therefore depends only on its own input row
+    and weight row, so computing extra columns (N growth) or a row
+    subset (M shrink) reproduces the remaining elements bit for bit —
+    the property exact-mode widening and :meth:`ResumablePlan.subset`
+    are built on, and that BLAS GEMMs do *not* provide (kernel choice,
+    and with it the K summation order, varies with the output shape).
+
+    The loop runs over K only, in chunks: one broadcast multiply forms
+    every ``(k, i, j)`` product of a chunk (sized so that temporary
+    stays near ``_CHUNK_BYTES``), and the products are added into the
+    ``(M, N)`` accumulator in increasing ``k``.  Operands that promote
+    past float32 accumulate in the promoted dtype and are cast to
+    float32 once at the end.
+
+    With a 2-D ``w``, leading axes of ``x`` beyond the first are
+    flattened into rows and restored.  Otherwise both operands carry
+    the same leading batch axes, ``(..., M, K) x (..., N, K) ->
+    (..., M, N)``, each batch entry an independent canonical product.
     """
-    if x.ndim != 2:
+    if w.ndim == 2 and x.ndim != 2:
         flat = _cgemm(x.reshape(-1, x.shape[-1]), w)
         return flat.reshape(x.shape[:-1] + (w.shape[0],))
-    out = np.empty((x.shape[0], w.shape[0]), dtype=np.float32)
-    for j, row in enumerate(w):
-        acc = x[:, 0] * row[0]
-        for k in range(1, row.shape[0]):
-            acc += x[:, k] * row[k]
-        out[:, j] = acc
-    return out
+    xk = _k_first(x)[..., None]                            # (K, ..., M, 1)
+    wk = np.ascontiguousarray(_k_first(w))[..., None, :]   # (K, ..., 1, N)
+    acc = xk[0] * wk[0]
+    chunk = max(1, _CHUNK_BYTES // max(1, acc.nbytes))
+    for lo in range(1, x.shape[-1], chunk):
+        for product in xk[lo:lo + chunk] * wk[lo:lo + chunk]:
+            acc += product
+    return acc.astype(np.float32, copy=False)
 
 
 def _rows(x: np.ndarray) -> int:
@@ -467,8 +491,9 @@ class _AttentionBlockNode(_Node):
     """Residual pre-norm attention: ``x + proj(attn(ln(x)))``.
 
     The reuse unit is the *head*: run() computes scores, softmax and
-    context per ``(batch, head)`` 2-d slice with the canonical GEMM, so
-    each head's result is independent of how many heads run beside it.
+    context of every ``(batch, head)`` pair with batched canonical
+    GEMMs, so each head's result is independent of how many heads run
+    beside it.
     Widening on a clean input then appends whole head blocks — the
     softmax stages cannot use the dense cross-term rule, so the new
     heads are recomputed per head (reported as ``"per-head recompute"``
@@ -493,38 +518,24 @@ class _AttentionBlockNode(_Node):
         return b * t * 3 * inner * d + 2 * b * step.heads * t * t * dk \
             + b * t * d * inner
 
-    def _head_qkv(self, step, head: int, b: int, t: int):
-        """Head ``head``'s q, k, v as ``(b, t, d_k)`` arrays."""
-        dk = step.head_dim
-        base = 3 * dk * head
-        parts = []
-        for j in range(3):
-            lo, hi = base + j * dk, base + (j + 1) * dk
-            raw = _cgemm(self.hx_flat, step.qkv_weight[lo:hi])
-            parts.append((raw + step.qkv_bias[lo:hi]).reshape(b, t, dk))
-        return parts
-
-    @staticmethod
-    def _head_ctx(step, q, k, v, mask, b: int, t: int) -> np.ndarray:
-        dk = step.head_dim
-        scale = 1.0 / math.sqrt(dk)
-        ctx = np.empty((b, t, dk), dtype=np.float32)
-        for i in range(b):
-            scores = _cgemm(q[i], k[i]) * scale
-            if mask is not None:
-                scores = scores + mask
-            probs = softmax_eval(scores)
-            ctx[i] = _cgemm(probs, np.ascontiguousarray(v[i].T))
-        return ctx
-
     def _heads(self, step, lo: int, hi: int, b: int, t: int) -> np.ndarray:
-        """Context blocks of heads [lo, hi) as ``(b, hi - lo, t, d_k)``."""
-        mask = causal_mask(t) if step.causal else None
-        ctx = np.empty((b, hi - lo, t, step.head_dim), dtype=np.float32)
-        for h in range(lo, hi):
-            q, k, v = self._head_qkv(step, h, b, t)
-            ctx[:, h - lo] = self._head_ctx(step, q, k, v, mask, b, t)
-        return ctx
+        """Context blocks of heads [lo, hi) as ``(b, hi - lo, t, d_k)``.
+
+        One canonical GEMM projects q, k and v of every head in the
+        range (head-major packing: ``3 * d_k`` rows per head), and one
+        batched canonical GEMM per stage runs every ``(sample, head)``
+        pair: each element's accumulation is fixed, so a head's context
+        does not depend on the heads or samples computed beside it.
+        """
+        dk = step.head_dim
+        rows = slice(3 * dk * lo, 3 * dk * hi)
+        qkv = _cgemm(self.hx_flat, step.qkv_weight[rows]) \
+            + step.qkv_bias[rows]
+        q, k, v = qkv.reshape(b, t, hi - lo, 3, dk).transpose(3, 0, 2, 1, 4)
+        scores = _cgemm(q, k) * (1.0 / math.sqrt(dk))
+        if step.causal:
+            scores = scores + causal_mask(t)
+        return _cgemm(softmax_eval(scores), np.swapaxes(v, -1, -2))
 
     def _project(self, step, ctx: np.ndarray) -> np.ndarray:
         """Full output projection + residual from the context blocks."""
