@@ -11,6 +11,14 @@ request/response pipe.  The GIL stops mattering: aggregate
 requests/sec scales with cores, which is what
 ``benchmarks/test_serving_throughput.py`` measures.
 
+Every worker runs one BLAS thread, so the pool's parallelism is its
+worker count: with OpenBLAS's default pool of one thread per core in
+each worker, two workers on two cores would run four spin-waiting BLAS
+threads.  The parent pins itself to one thread only while it forks and
+then restores its own count (:mod:`repro.utils.blas`); spawned workers
+pin themselves at boot.  In-process serving and training keep the
+default threading.
+
 Staleness rides the arena's version block.  After the parent mutates
 weights (``load_state_dict``, ``Parameter.mutate()``, an optimizer
 step), the next dispatch :meth:`~ProcessReplicaPool.sync`-s: the arena
@@ -39,6 +47,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -49,6 +58,7 @@ from ..errors import ServingError
 from ..slicing.plans import PlanCache
 from ..slicing.profile import as_profile
 from ..tensor.shared import SharedArena, _disinherit
+from ..utils.blas import blas_threads, pin_single_thread, single_thread_forks
 from .pool import ReplicaPool
 from .replica import STATE_CRASHED, LatencyProfile, Replica
 
@@ -86,6 +96,7 @@ def _worker_main(boot: WorkerBoot, conn) -> None:
     ``set_cascade``, ``stats``, ``ping``, ``shutdown``.  Errors answer
     the request instead of killing the worker.
     """
+    pin_single_thread()   # spawn: fresh OpenBLAS; fork: already 1
     _disinherit()   # a forked child must not touch the parent's arenas
     os.environ.update(boot.env)
     np.random.seed((boot.seed + boot.index) % (2 ** 32))
@@ -157,6 +168,7 @@ def _worker_main(boot: WorkerBoot, conn) -> None:
                     "obs_enabled": obs.enabled(),
                     "trace_path": boot.trace_path,
                     "plan_cache": replica.plan_cache.stats(),
+                    "blas_threads": blas_threads(),
                 })
             elif op == "ping":
                 reply = ("ok", label)
@@ -341,33 +353,38 @@ class ProcessReplicaPool(ReplicaPool):
             obs.tracer().flush()
 
         replicas = []
+        # Forked workers inherit one BLAS thread: their parallelism is
+        # the worker count (spawned ones pin themselves at boot).
+        forks = single_thread_forks() if method == "fork" else nullcontext()
         try:
-            for index in range(workers):
-                if trace_paths is not None:
-                    wpath = trace_paths[index]
-                elif base_trace:
-                    wpath = f"{base_trace}.w{index}.jsonl"
-                else:
-                    wpath = None
-                boot = WorkerBoot(
-                    index=index, manifest=self.arena.manifest,
-                    seed=seed, env=env, obs_enabled=obs_on,
-                    trace_path=wpath, tick_clock=tick,
-                    plan_capacity=plan_cache_capacity,
-                    model=model if method == "fork" else None,
-                    model_factory=None if method == "fork" else model_factory)
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                process = ctx.Process(target=_worker_main,
-                                      args=(boot, child_conn),
-                                      name=f"repro-worker-{index}",
-                                      daemon=True)
-                process.start()
-                child_conn.close()
-                handle = _WorkerHandle(index, process, parent_conn, wpath)
-                self._handles.append(handle)
-                replicas.append(WorkerReplica(
-                    handle, profile, self,
-                    replica_id=f"{name_prefix}w{index}"))
+            with forks:
+                for index in range(workers):
+                    if trace_paths is not None:
+                        wpath = trace_paths[index]
+                    elif base_trace:
+                        wpath = f"{base_trace}.w{index}.jsonl"
+                    else:
+                        wpath = None
+                    boot = WorkerBoot(
+                        index=index, manifest=self.arena.manifest,
+                        seed=seed, env=env, obs_enabled=obs_on,
+                        trace_path=wpath, tick_clock=tick,
+                        plan_capacity=plan_cache_capacity,
+                        model=model if method == "fork" else None,
+                        model_factory=(None if method == "fork"
+                                       else model_factory))
+                    parent_conn, child_conn = ctx.Pipe(duplex=True)
+                    process = ctx.Process(target=_worker_main,
+                                          args=(boot, child_conn),
+                                          name=f"repro-worker-{index}",
+                                          daemon=True)
+                    process.start()
+                    child_conn.close()
+                    handle = _WorkerHandle(index, process, parent_conn, wpath)
+                    self._handles.append(handle)
+                    replicas.append(WorkerReplica(
+                        handle, profile, self,
+                        replica_id=f"{name_prefix}w{index}"))
             super().__init__(replicas, dispatch=dispatch, seed=seed)
         except Exception:
             self.shutdown()

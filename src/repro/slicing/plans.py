@@ -56,6 +56,7 @@ from ..nn.embedding import Embedding
 from ..nn.norm import BatchNorm2d
 from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..tensor import Tensor, no_grad
+from ..tensor.ops import window_max
 from .context import slice_profile
 from .families import Family, Op, family_of
 from .profile import SliceProfile, as_profile, validate_rate
@@ -336,8 +337,8 @@ class MaxPoolStep(PlanStep):
             raise PlanError(
                 f"max-pool step: spatial dims {height}x{width} "
                 f"not divisible by {k}")
-        return x.reshape(batch, channels, height // k, k, width // k, k) \
-                .max(axis=(3, 5))
+        return window_max(
+            x.reshape(batch, channels, height // k, k, width // k, k))
 
 
 class AvgPoolStep(PlanStep):

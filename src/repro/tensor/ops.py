@@ -207,6 +207,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return Tensor._make(out, parents, backward)
 
 
+def window_max(view: np.ndarray, out: np.ndarray | None = None,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """Max over the ``k x k`` taps of a ``(b, c, h, k, w, k)`` pool view.
+
+    Bitwise equal to ``view.max(axis=(3, 5))``, signed zeros included,
+    but pairwise ``np.maximum`` over the tap slices instead of numpy's
+    slow tiny-inner-axis reduce.  The order is part of the contract:
+    the w taps (last axis) first, into ``rows`` of shape
+    ``(b, c, h, k, w)``, then the h taps into ``out``.  ``np.maximum``
+    keeps its second operand on a tie, so the h-first order picks a
+    different zero: on the window ``[[0.0, 0.0], [-0.0, -1.0]]`` the
+    reduce and the w-first order give ``-0.0``, h-first gives ``0.0``.
+    ``out`` and ``rows`` are optional preallocated buffers.
+    """
+    batch, channels, h_out, k, w_out, _ = view.shape
+    if rows is None:
+        rows = np.empty((batch, channels, h_out, k, w_out), view.dtype)
+    if out is None:
+        out = np.empty((batch, channels, h_out, w_out), view.dtype)
+    np.copyto(rows, view[..., 0])
+    for j in range(1, k):
+        np.maximum(rows, view[..., j], out=rows)
+    np.copyto(out, rows[:, :, :, 0])
+    for i in range(1, k):
+        np.maximum(out, rows[:, :, :, i], out=out)
+    return out
+
+
 def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
     """Non-overlapping max pooling with square kernel ``kernel_size``."""
     k = int(kernel_size)
@@ -217,22 +245,16 @@ def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
     view = x.data.reshape(batch, channels, h_out, k, w_out, k)
     ws = active_workspace()
     if ws is not None:
-        # Pairwise maxima/sums over the tap slices produce the same max
-        # values and tie counts as the multi-axis reductions (max and
-        # integer sums are exact) but avoid numpy's slow tiny-inner-axis
-        # reduce loop.  The tie-splitting divisor is kept in the input
-        # dtype: the reference divides by integer counts, which NEP-50
-        # promotes to float64 and drags every downstream gradient to
-        # doubled memory traffic.
+        # Pairwise sums over the tap slices produce the same tie counts
+        # as the multi-axis reduction (integer sums are exact) but avoid
+        # numpy's slow tiny-inner-axis reduce loop.  The tie-splitting
+        # divisor is kept in the input dtype: the reference divides by
+        # integer counts, which NEP-50 promotes to float64 and drags
+        # every downstream gradient to doubled memory traffic.
         dt = x.data.dtype
-        m5 = ws.acquire((batch, channels, h_out, k, w_out), dt)
-        np.copyto(m5, view[..., 0])
-        for j in range(1, k):
-            np.maximum(m5, view[..., j], out=m5)
-        out = ws.acquire((batch, channels, h_out, w_out), dt)
-        np.copyto(out, m5[:, :, :, 0])
-        for i in range(1, k):
-            np.maximum(out, m5[:, :, :, i], out=out)
+        out = window_max(
+            view, out=ws.acquire((batch, channels, h_out, w_out), dt),
+            rows=ws.acquire((batch, channels, h_out, k, w_out), dt))
         mask = ws.acquire((batch, channels, h_out, k, w_out, k), np.bool_)
         np.equal(view, out[:, :, :, None, :, None], out=mask)
         c5 = ws.acquire((batch, channels, h_out, k, w_out), np.intp)
@@ -244,7 +266,7 @@ def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
             csmall += c5[:, :, :, i]
         counts = csmall[:, :, :, None, :, None].astype(dt)
     else:
-        out = view.max(axis=(3, 5))
+        out = window_max(view)
         mask = view == out[:, :, :, None, :, None]
         counts = mask.sum(axis=(3, 5), keepdims=True)
 

@@ -5,7 +5,9 @@ byte-identical to the in-process pool for the same seeded request
 stream (every demo rate plus a non-uniform layer profile), weight
 mutations in the parent must invalidate worker plan caches through the
 shared arena's version block, and workers must boot with the parent's
-seed, ``REPRO_*`` environment and observability state.
+seed, ``REPRO_*`` environment and observability state.  Workers run one
+BLAS thread, the parent keeps its own count, and worker answers stay
+bitwise equal to the (multi-threaded) parent's.
 """
 
 import os
@@ -17,6 +19,8 @@ import pytest
 from repro import MLP, obs
 from repro.diagnose.demo import DEMO_RATES, train_demo_model
 from repro.errors import ServingError
+from repro.models.transformer import TransformerEncoder
+from repro.models.vgg import SlicedVGG
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.summary import load_records, summarize
 from repro.runtime import (
@@ -33,6 +37,7 @@ from repro.runtime.workers import (
 )
 from repro.slicing import LayerProfile
 from repro.tensor.shared import shm_segments
+from repro.utils.blas import blas_threads
 
 PROFILE = LayerProfile({"fc0": 0.5, "fc1": 0.75}, default=1.0)
 
@@ -50,6 +55,13 @@ def _baseline(model):
 
 def _spawn_factory():
     return MLP(in_features=8, hidden=[16, 16], num_classes=3, seed=41)
+
+
+needs_openblas = pytest.mark.skipif(blas_threads() is None,
+                                    reason="numpy's BLAS is not OpenBLAS")
+needs_spawn = pytest.mark.skipif(
+    "spawn" not in __import__("multiprocessing").get_all_start_methods(),
+    reason="no spawn start method")
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +188,7 @@ class TestWorkerBoot:
         with pytest.raises(ServingError, match="model_factory"):
             ProcessReplicaPool(model, 1, start_method="spawn")
 
-    @pytest.mark.skipif("spawn" not in
-                        __import__("multiprocessing").get_all_start_methods(),
-                        reason="no spawn start method")
+    @needs_spawn
     def test_spawn_workers_adopt_arena_weights(self):
         model = _spawn_factory()
         for _, param in model.named_parameters():   # diverge from factory
@@ -198,6 +208,54 @@ class TestWorkerBoot:
             ProcessReplicaPool(model, 0)
         with pytest.raises(ServingError, match="trace paths"):
             ProcessReplicaPool(model, 2, trace_paths=["only-one.jsonl"])
+
+
+# ---------------------------------------------------------------------------
+class TestWorkerBlas:
+    """Workers run one BLAS thread; the parent keeps its own count."""
+
+    @needs_openblas
+    def test_fork_workers_run_one_blas_thread(self, demo):
+        model, _ = demo
+        with ProcessReplicaPool(model, 2, seed=0,
+                                start_method="fork") as pool:
+            assert [s["blas_threads"] for s in pool.worker_stats()] == [1, 1]
+
+    @needs_openblas
+    @needs_spawn
+    def test_spawn_workers_run_one_blas_thread(self):
+        with ProcessReplicaPool(_spawn_factory().eval(), 1, seed=0,
+                                start_method="spawn",
+                                model_factory=_spawn_factory) as pool:
+            assert [s["blas_threads"] for s in pool.worker_stats()] == [1]
+
+    def test_parent_thread_count_is_restored(self, demo):
+        model, _ = demo
+        before = blas_threads()
+        pool = ProcessReplicaPool(model, 2, seed=0)
+        after_create = blas_threads()
+        pool.shutdown()
+        assert after_create == before
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize("build, shape, rates", [
+        # 512 x 256 @ 256 x 1024: large enough that a multi-threaded
+        # parent OpenBLAS splits the GEMM across its threads.
+        (lambda: MLP(256, [1024, 1024], 10, seed=0), (512, 256), [1.0]),
+        (lambda: SlicedVGG.cifar_mini(seed=0), (16, 3, 16, 16), [0.5, 1.0]),
+        (lambda: TransformerEncoder(seed=0), (16, 3, 16, 16), [0.5, 1.0]),
+    ], ids=["mlp", "gn-vgg", "tenc"])
+    def test_worker_predictions_match_threaded_parent(self, build, shape,
+                                                      rates):
+        model = build().eval()
+        x = np.random.default_rng(3).normal(size=shape).astype(np.float32)
+        reference = _baseline(model)
+        expected = [reference.predict(x, rate) for rate in rates]
+        with ProcessReplicaPool(model, 2, seed=0) as pool:
+            for rate, want in zip(rates, expected):
+                for worker in pool.replicas:
+                    np.testing.assert_array_equal(worker.predict(x, rate),
+                                                  want)
 
 
 # ---------------------------------------------------------------------------

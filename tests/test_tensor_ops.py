@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ShapeError
+from repro.slicing.plans import MaxPoolStep
 from repro.tensor import (
     Tensor,
     avg_pool2d,
@@ -16,6 +19,8 @@ from repro.tensor import (
     pad2d,
     pad_channels,
 )
+from repro.tensor.ops import window_max
+from repro.tensor.workspace import WorkspaceArena, use_workspace
 
 
 def t(data):
@@ -112,6 +117,61 @@ class TestPooling:
         assert out.shape == (2, 3)
         np.testing.assert_allclose(out.data, x.data.mean(axis=(2, 3)),
                                    rtol=1e-5)
+
+
+# Ties between +0.0 and -0.0 are where tap order shows: np.maximum keeps
+# its second operand on a tie.  Reducing the h taps first would differ
+# from the reduce on the window [[0.0, 0.0], [-0.0, -1.0]] (the reduce
+# gives -0.0, h-first 0.0); the w-first order window_max uses does not.
+_TIE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.5], dtype=np.float32)
+
+
+@st.composite
+def _pool_inputs(draw):
+    k = draw(st.sampled_from([2, 3]))
+    batch, channels, h_out, w_out = (draw(st.integers(1, 3))
+                                     for _ in range(4))
+    shape = (batch, channels, h_out * k, w_out * k)
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["ties", "zeros", "normal"]))
+    if kind == "ties":
+        x = rng.choice(_TIE_VALUES, size=shape)
+    elif kind == "zeros":        # all-zero windows of mixed sign
+        x = rng.choice(_TIE_VALUES[:2], size=shape)
+    else:
+        x = rng.normal(size=shape).astype(np.float32)
+    return x.astype(np.float32), k
+
+
+def _reduce_bits(x, k):
+    b, c, h, w = x.shape
+    view = x.reshape(b, c, h // k, k, w // k, k)
+    return view.max(axis=(3, 5)).view(np.uint32)
+
+
+class TestWindowMax:
+    """Pairwise tap maxima are bitwise the multi-axis reduce."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pool_inputs())
+    def test_bits_equal_reduce(self, case):
+        x, k = case
+        b, c, h, w = x.shape
+        got = window_max(x.reshape(b, c, h // k, k, w // k, k))
+        np.testing.assert_array_equal(got.view(np.uint32), _reduce_bits(x, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pool_inputs())
+    def test_plan_step_and_both_pool_branches(self, case):
+        x, k = case
+        want = _reduce_bits(x, k)
+        np.testing.assert_array_equal(MaxPoolStep(k)(x).view(np.uint32), want)
+        plain = max_pool2d(Tensor(x), k).data
+        np.testing.assert_array_equal(plain.view(np.uint32), want)
+        with use_workspace(WorkspaceArena()):
+            pooled = max_pool2d(Tensor(x), k).data
+        np.testing.assert_array_equal(pooled.view(np.uint32), want)
 
 
 class TestEmbedding:
