@@ -383,9 +383,10 @@ def _cmd_runtime_cascade(args) -> int:
     stages = [CascadeStage(rate, threshold) for rate, threshold
               in zip(rates[:-1], thresholds)]
     stages.append(CascadeStage(rates[-1]))
-    # Transformer plans do not support row subsetting (the attention
-    # cache couples the batch axis), so escalation recomputes instead of
-    # resuming; thresholds and predictions are unchanged.
+    # The MLP demo resumes its escalations exactly (Sec. 3.5), so the
+    # madds-priced simulated clock shows the reuse.  Transformer plans do
+    # not support row subsetting (attention couples the batch axis), so
+    # their escalated rows recompute on cached compiled plans.
     executor = CascadeExecutor(model, stages, exact=True,
                                incremental=args.model != "tenc")
     cost = {rate: full_latency * rate * rate for rate in rates}
@@ -862,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--cascade", action="store_true",
                          help="serve a trained demo model through a "
                               "confidence cascade (margin-gated "
-                              "incremental escalation) and compare "
+                              "escalation) and compare "
                               "against fixed profiles")
     runtime.add_argument("--cascade-thresholds", type=float, nargs="*",
                          default=None, metavar="MARGIN",

@@ -19,7 +19,6 @@ runtime's dispatch abstractions rather than reinventing them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -336,9 +335,6 @@ class NodeSpec:
         }
 
 
-_node_ids = itertools.count()
-
-
 class Node:
     """One machine in the fleet, hosting a pool of calibrated replicas."""
 
@@ -439,8 +435,3 @@ class Node:
         if done > self.in_flight:
             raise ServingError("completing more requests than in flight")
         self.in_flight -= done
-
-
-def fresh_node_id() -> str:
-    """Process-unique default node id (``n0``, ``n1``, ...)."""
-    return f"n{next(_node_ids)}"

@@ -229,15 +229,6 @@ def records_from_trace(trace_records: list[dict]
 # ----------------------------------------------------------------------
 # Aggregations over records
 # ----------------------------------------------------------------------
-def profile_order(records: list[EvalRecord]) -> list[str]:
-    """Profile keys in first-seen (narrow -> wide) record order."""
-    order: list[str] = []
-    for record in records:
-        if record.profile not in order:
-            order.append(record.profile)
-    return order
-
-
 def correctness_by_profile(records: list[EvalRecord],
                            num_examples: int) -> dict[str, np.ndarray]:
     """``{profile_key: bool array (N,)}`` — the mining stage's input."""

@@ -5,8 +5,8 @@ per-request admission with backpressure (:mod:`.queue`), dynamic
 batching with per-batch slice-rate selection (:mod:`.batcher`), a
 replica pool with slice-rate-aware dispatch (:mod:`.replica`,
 :mod:`.pool`), deterministic fault injection with health checking and
-retry-with-downgrade (:mod:`.faults`), confidence cascades with
-incremental (resume-not-recompute) escalation (:mod:`.cascade`), and
+retry-with-downgrade (:mod:`.faults`), confidence cascades that
+escalate on cached compiled plans or resume exactly (:mod:`.cascade`), and
 structured per-request telemetry (:mod:`.telemetry`), all orchestrated
 by :mod:`.engine`.
 """

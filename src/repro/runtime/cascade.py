@@ -1,18 +1,23 @@
-"""Confidence cascades: run cheap, escalate the unsure, resume the work.
+"""Confidence cascades: run cheap, escalate the unsure.
 
 Every batch first executes at the cascade's cheapest slice profile.
 Rows whose prediction *margin* (top-1 minus top-2 logit) clears the
 stage's confidence threshold are answered immediately; the rest
-escalate to the next wider stage.  Escalation is **incremental**: the
-narrow pass ran through a :class:`~repro.slicing.resume.ResumablePlan`,
-so the escalated rows :meth:`~repro.slicing.resume.ResumablePlan.subset`
-out their retained intermediates and
-:meth:`~repro.slicing.resume.ResumablePlan.widen` to the next profile,
-paying only the widening cross-terms instead of a from-scratch pass.
-In exact mode the widened logits are bitwise what a from-scratch pass
-at the wider profile would produce, so incremental and
-recompute-from-scratch escalation are *prediction-identical* and differ
-only in cost — which is what the differential harness pins.
+escalate to the next wider stage.  Two escalation modes share one loop:
+
+* **recompute** (the default): each stage runs the rows that reached it
+  through that stage's compiled :class:`~repro.slicing.plans.InferencePlan`
+  (BLAS), held in the executor's own
+  :class:`~repro.slicing.plans.PlanCache` across batches.  No bits are
+  claimed against the exact path; this is the fast one in seconds.
+* **incremental** (``incremental=True``, the Sec. 3.5 oracle): the
+  narrow pass runs through a
+  :class:`~repro.slicing.resume.ResumablePlan`, so the escalated rows
+  :meth:`~repro.slicing.resume.ResumablePlan.subset` out their retained
+  intermediates and :meth:`~repro.slicing.resume.ResumablePlan.widen`
+  to the next profile, paying only the widening cross-terms.  In exact
+  mode the widened logits are bitwise what a from-scratch resumable
+  pass at the wider profile would produce.
 
 :class:`CascadeExecutor` is the deterministic, clock-free core the
 runtime engine calls at dispatch time; :class:`CascadeResult` carries
@@ -29,8 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ServingError
+from ..slicing.plans import PlanCache
 from ..slicing.profile import as_profile
-from ..slicing.resume import ResumablePlan, pointwise_nested
+from ..slicing.resume import ResumablePlan, pointwise_nested, scratch_madds
 
 __all__ = ["CascadeStage", "CascadeResult", "CascadeExecutor",
            "margins_of"]
@@ -124,26 +130,29 @@ class CascadeExecutor:
     Parameters
     ----------
     model:
-        A model :class:`~repro.slicing.resume.ResumablePlan` supports
-        with ``(batch, features)`` inputs (row subsetting rules out
-        sequence models).
+        A model :func:`~repro.slicing.plans.compile_plan` and
+        :class:`~repro.slicing.resume.ResumablePlan` support, with
+        float ``(batch, ...)`` inputs.
     stages:
         Cheapest-first :class:`CascadeStage` rungs; each stage's profile
         must be pointwise-nested inside the next (Eq. 2), and only the
         terminal stage may omit its threshold.
     exact:
-        Widening mode for escalations.  ``True`` (default) keeps
-        escalated predictions bitwise equal to a from-scratch pass at
-        the reached profile; ``False`` uses the paper's approximate
-        cross-term reuse.
+        Widening mode of the incremental path.  ``True`` (default) keeps
+        escalated predictions bitwise equal to a from-scratch resumable
+        pass at the reached profile; ``False`` uses the paper's
+        approximate cross-term reuse.  The recompute path ignores it.
     incremental:
-        ``False`` switches escalation to the recompute-from-scratch
-        baseline (same thresholds, same predictions in exact mode,
-        no reuse) — the cost comparator the benchmark reports.
+        ``True`` escalates by resuming the narrow pass (``subset`` then
+        ``widen``, Sec. 3.5) on the canonical GEMM: the exact,
+        multiply-add-saving oracle (row subsetting rules out sequence
+        and transformer models).  ``False`` (default) recomputes the
+        escalated rows on cached compiled plans: the same thresholds,
+        more multiply-adds, far fewer seconds.
     """
 
     def __init__(self, model, stages: Sequence[CascadeStage],
-                 exact: bool = True, incremental: bool = True):
+                 exact: bool = True, incremental: bool = False):
         stages = [s if isinstance(s, CascadeStage) else CascadeStage(*s)
                   for s in stages]
         if len(stages) < 2:
@@ -163,53 +172,94 @@ class CascadeExecutor:
         self.stages = stages
         self.exact = bool(exact)
         self.incremental = bool(incremental)
+        #: Compiled stage plans of the recompute path; parameter-version
+        #: checks recompile them after a mutation.
+        self.plans = PlanCache(len(stages))
+        self._row_madds: dict[tuple, int] = {}
 
     def stage_rates(self) -> list:
         return [stage.rate for stage in self.stages]
+
+    def warm(self) -> int:
+        """Compile the plans :meth:`run_batch` reads; returns how many.
+
+        Every stage's plan on the recompute path; none on the
+        incremental path, whose resumable plans compile per batch.
+        """
+        if self.incremental:
+            return 0
+        for rate in self.stage_rates():
+            self.plans.get(self.model, rate)
+        return len(self.stages)
 
     def run_batch(self, inputs: np.ndarray) -> CascadeResult:
         """Cascade one batch; returns predictions plus cost accounting."""
         x = np.ascontiguousarray(inputs, dtype=np.float32)
         n = x.shape[0]
-        plan = ResumablePlan(self.model, self.stages[0].rate,
-                             exact=self.exact)
-        logits = plan.run(x)
-        predictions = np.argmax(logits, axis=-1)
+        answer = self._resume(x) if self.incremental else self._recompute(x)
+        predictions = np.zeros(n, dtype=np.int64)
         final_stage = np.zeros(n, dtype=np.int64)
-        stage_rows = [n]
-        stage_spent = [plan.spent_madds]
-        stage_full = [plan.scratch_madds]
+        stage_rows: list[int] = []
+        stage_spent: list[int] = []
+        stage_full: list[int] = []
         escalations: list[tuple[int, int, int]] = []
 
-        rows_global = np.arange(n)
-        margins = margins_of(logits)
-        for k, stage in enumerate(self.stages[:-1]):
-            unsure = margins < stage.threshold
-            count = int(np.count_nonzero(unsure))
-            if count == 0:
-                break
-            local = np.nonzero(unsure)[0]
-            rows_global = rows_global[local]
-            escalations.append((k, k + 1, count))
-            target = self.stages[k + 1].rate
-            if self.incremental:
-                plan = plan.subset(local)
-                logits = plan.widen(target)
-            else:
-                plan = ResumablePlan(self.model, target, exact=self.exact)
-                logits = plan.run(x[rows_global])
-            stage_rows.append(count)
-            stage_spent.append(plan.spent_madds)
-            # ``scratch_madds`` is what a from-scratch pass at the
-            # reached profile costs on these rows — the recompute
-            # baseline for this escalation.
-            stage_full.append(plan.scratch_madds)
-            predictions[rows_global] = np.argmax(logits, axis=-1)
-            final_stage[rows_global] = k + 1
-            margins = margins_of(logits)
+        rows = local = np.arange(n)
+        for k in range(len(self.stages)):
+            if k:
+                unsure = margins_of(logits) < self.stages[k - 1].threshold
+                count = int(np.count_nonzero(unsure))
+                if count == 0:
+                    break
+                local = np.nonzero(unsure)[0]
+                rows = rows[local]
+                escalations.append((k - 1, k, count))
+            # ``full`` is what a from-scratch pass at this stage costs on
+            # these rows: the recompute baseline the savings count against.
+            logits, spent, full = answer(k, rows, local)
+            stage_rows.append(len(rows))
+            stage_spent.append(spent)
+            stage_full.append(full)
+            predictions[rows] = np.argmax(logits, axis=-1)
+            final_stage[rows] = k
         return CascadeResult(predictions=predictions, stages=final_stage,
                              stage_rows=stage_rows, stage_spent=stage_spent,
                              stage_full=stage_full, escalations=escalations)
+
+    def _recompute(self, x: np.ndarray):
+        """Stage ``k`` answers its rows on the cached compiled plan."""
+        row_shape = x.shape[1:]
+
+        def answer(k, rows, local):
+            plan = self.plans.get(self.model, self.stages[k].rate)
+            logits = plan.run(x if k == 0 else x[rows])
+            madds = len(rows) * self._madds_per_row(k, row_shape)
+            return logits, madds, madds
+        return answer
+
+    def _resume(self, x: np.ndarray):
+        """Stage ``k`` subsets the previous resumable pass and widens it."""
+        plan = ResumablePlan(self.model, self.stages[0].rate,
+                             exact=self.exact)
+
+        def answer(k, rows, local):
+            nonlocal plan
+            if k == 0:
+                logits = plan.run(x)
+            else:
+                plan = plan.subset(local)
+                logits = plan.widen(self.stages[k].rate)
+            return logits, plan.spent_madds, plan.scratch_madds
+        return answer
+
+    def _madds_per_row(self, k: int, row_shape: tuple) -> int:
+        """From-scratch multiply-adds of one row at stage ``k`` (cached)."""
+        key = (k, row_shape)
+        madds = self._row_madds.get(key)
+        if madds is None:
+            madds = self._row_madds[key] = scratch_madds(
+                self.model, self.stages[k].rate, row_shape=row_shape)
+        return madds
 
     def calibrate(self, inputs: np.ndarray, labels: np.ndarray) -> dict:
         """Per-stage *conditional* exit accuracy on a labeled holdout.

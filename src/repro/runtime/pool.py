@@ -99,14 +99,13 @@ class ReplicaPool:
         return sum(replica.warm_plans(rates) for replica in self.replicas)
 
     def warm_cascade(self, executor) -> int:
-        """Pre-compile from-scratch plans at every cascade stage rate.
+        """Pre-compile the cascade's stage plans; returns how many.
 
-        The cascade's incremental path builds resumable plans per batch,
-        but retries, the recompute baseline and any non-cascade predict
-        at a stage rate go through the replicas' compiled-plan cache —
-        warm those so no dispatch pays compilation.
+        In-process replicas share the engine's executor, so its own
+        plan cache is what every cascaded dispatch reads
+        (:meth:`~repro.runtime.cascade.CascadeExecutor.warm`).
         """
-        return self.warm_plans(executor.stage_rates())
+        return executor.warm()
 
     # -- dispatch -------------------------------------------------------
     def idle(self, now: float) -> list[Replica]:

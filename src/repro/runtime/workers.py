@@ -38,8 +38,10 @@ in-process pool.
 
 Cascades stay within one worker: :meth:`ProcessReplicaPool.warm_cascade`
 ships the stage list to every worker, which builds a local
-:class:`~repro.runtime.cascade.CascadeExecutor` so escalation reuses
-resumable intermediates without crossing the process boundary.
+:class:`~repro.runtime.cascade.CascadeExecutor` and warms that
+executor's own plan cache (the one its batches read), so escalation
+never crosses the process boundary.  The ``stats`` reply carries that
+cache's counters as ``cascade_cache``.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def _worker_main(boot: WorkerBoot, conn) -> None:
                 arena.refresh(model)
                 executor = CascadeExecutor(model, stages, exact=exact,
                                            incremental=incremental)
-                reply = ("ok", replica.warm_plans(executor.stage_rates()))
+                reply = ("ok", executor.warm())
             elif op == "stats":
                 reply = ("ok", {
                     "worker": label,
@@ -168,6 +170,8 @@ def _worker_main(boot: WorkerBoot, conn) -> None:
                     "obs_enabled": obs.enabled(),
                     "trace_path": boot.trace_path,
                     "plan_cache": replica.plan_cache.stats(),
+                    "cascade_cache": None if executor is None
+                    else executor.plans.stats(),
                     "blas_threads": blas_threads(),
                 })
             elif op == "ping":
@@ -415,8 +419,9 @@ class ProcessReplicaPool(ReplicaPool):
 
         Each worker builds a local
         :class:`~repro.runtime.cascade.CascadeExecutor` over its
-        arena-backed model, so stage escalation (and its resumable
-        intermediates) never crosses the process boundary.
+        arena-backed model and warms that executor's plan cache, so
+        stage escalation never crosses the process boundary.  Returns
+        the plans warmed across the pool.
         """
         self.sync()
         payload = (list(executor.stages), executor.exact,

@@ -308,13 +308,6 @@ class BatchNormStep(PlanStep):
         return out
 
 
-class ReluStep(PlanStep):
-    kind = "relu"
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)
-
-
 class IdentityStep(PlanStep):
     """Eval-mode dropout (and any other inference no-op)."""
 

@@ -35,10 +35,10 @@ Two widening modes exist because the paper's reuse is an approximation:
   keep the cached base product ``ya`` even though the widened input
   would perturb it, and spend only the analytic
   ``batch * (wb_out*wb_in - wa_out*wa_in)`` multiply-adds per dense
-  layer.  The serving cascade defaults to exact mode (bit-identical
-  escalations are what make its traces deterministic); approximate
-  mode is the cheaper paper-faithful option for callers that accept
-  tolerance-level drift.
+  layer.  The cascade's incremental escalation defaults to exact mode
+  (it is the bitwise oracle; the served default recomputes escalated
+  rows on compiled BLAS plans instead); approximate mode is the cheaper
+  paper-faithful option for callers that accept tolerance-level drift.
 
 The operands come from compiled plans.  By Eq. 2 a narrow pass and its
 widening read prefixes of the same weights, so the plan
@@ -702,8 +702,8 @@ class ResumablePlan:
     exact:
         Default widening mode.  ``True`` guarantees bitwise equality
         with a from-scratch plan at the target profile; ``False`` uses
-        the paper's approximate cross-term reuse (cheaper, the serving
-        default for cascades).
+        the paper's approximate cross-term reuse (cheaper, drifts at
+        float tolerance).
 
     Typical lifecycle::
 
@@ -855,20 +855,27 @@ class ResumablePlan:
                 f"exact={self.exact}, widens={max(len(self.history) - 1, 0)})")
 
 
-def scratch_madds(model, profile, batch: int = 1) -> int:
-    """Analytic from-scratch multiply-adds of one pass at ``profile``.
+def scratch_madds(model, profile, batch: int = 1,
+                  row_shape: tuple[int, ...] | None = None) -> int:
+    """Multiply-adds of one from-scratch pass at ``profile``.
 
     Counts the GEMM-shaped work (dense and recurrent projections,
-    convolution contractions) the resumable plan accounts — the same
-    units :meth:`ResumablePlan.flops_saved` reports, so cascade cost
-    models and the serving-time FLOPs fractions agree with the measured
-    counters.  Supported for the dense models (MLP); sequence and conv
-    models derive their cost from an executed plan's report instead.
+    convolution contractions, attention products) the resumable plan
+    accounts — the same units :meth:`ResumablePlan.flops_saved` reports,
+    so cascade cost models and the serving-time FLOPs fractions agree
+    with the measured counters.  Every family's count is linear in the
+    batch, so one 1-row from-scratch pass over zeros of ``row_shape``
+    (one float input row's shape) prices any model; an MLP's row shape
+    defaults to its input width.
     """
     from ..models.mlp import MLP
 
-    if not isinstance(model, MLP):
-        raise PlanError(
-            f"scratch_madds supports MLP models, got {type(model).__name__}")
-    steps = compile_plan(model, as_profile(profile)).steps
-    return batch * sum(step.weight.size for step in steps)
+    if row_shape is None:
+        if not isinstance(model, MLP):
+            raise PlanError(
+                f"scratch_madds needs row_shape for {type(model).__name__} "
+                f"models")
+        row_shape = (model.in_features,)
+    plan = ResumablePlan(model, profile)
+    plan.run(np.zeros((1,) + tuple(row_shape), dtype=np.float32))
+    return batch * plan.scratch_madds

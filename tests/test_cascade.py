@@ -11,9 +11,14 @@ The contract under test, layer by layer:
 * Stale parameters can never silently resume (regression for the
   ``Parameter.data[...]`` footgun).
 * The cascade executor's escalations match a hand-computed oracle on
-  the planted easy/hard demo workload, incremental and recompute
-  escalation are prediction-identical, and seeded ``--cascade`` runtime
-  runs produce byte-identical traces.
+  the planted easy/hard demo workload — incremental escalation against
+  from-scratch resumable passes, the default compiled-plan recompute
+  against hand-run compiled plans, both bitwise — the two modes agree
+  on this workload's predictions (measured: BLAS and the canonical GEMM
+  differ in the last bits, far from any threshold here), recompute
+  escalation prices every family exactly as a from-scratch resumable
+  pass does, and seeded ``--cascade`` runtime runs produce
+  byte-identical traces.
 """
 
 import numpy as np
@@ -25,7 +30,7 @@ from repro import obs
 from repro.cluster import CostTable, ProfileCost
 from repro.diagnose.demo import train_demo_model
 from repro.errors import PlanError, ServingError, SliceRateError
-from repro.models import MLP, NNLM, SlicedVGG
+from repro.models import MLP, NNLM, SlicedVGG, TransformerEncoder
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (
     CascadeExecutor,
@@ -356,7 +361,7 @@ class TestStaleness:
             stale.widen(1.0)
 
     def test_mutation_between_cascade_batches(self, demo, rng):
-        """The executor rebuilds per batch, so updates apply cleanly."""
+        """Cached stage plans recompile after a mutation."""
         model, data = demo
         stages = [CascadeStage(0.25, 1.0), CascadeStage(1.0)]
         executor = CascadeExecutor(model, stages)
@@ -370,6 +375,7 @@ class TestStaleness:
             values[:] = -values
         flipped = executor.run_batch(batch).predictions
         assert not np.array_equal(before, flipped)
+        assert executor.plans.invalidations > 0
 
 
 # ---------------------------------------------------------------------------
@@ -388,36 +394,55 @@ class TestCascadeExecutor:
         return [CascadeStage(0.25, t0), CascadeStage(0.5, t1),
                 CascadeStage(1.0)]
 
-    def test_escalations_match_from_scratch_oracle(self, demo):
-        """Hand-compute the cascade from independent from-scratch plans."""
-        model, data = demo
-        x = data["eval_x"][:96].astype(np.float32)
-        executor = CascadeExecutor(model, self.stages(), exact=True)
-        result = executor.run_batch(x)
-
-        # Oracle: independent from-scratch pass per stage.
-        logits = ResumablePlan(model, 0.25).run(x)
-        oracle_preds = np.argmax(logits, axis=-1)
-        oracle_stage = np.zeros(len(x), dtype=int)
+    @staticmethod
+    def hand_cascade(x, run):
+        """Hand-compute the cascade; ``run(rate, rows)`` answers a stage."""
+        logits = run(0.25, x)
+        preds = np.argmax(logits, axis=-1)
+        stage = np.zeros(len(x), dtype=int)
         rows = np.arange(len(x))
-        expected_escalations = []
+        escalations = []
         for k, rate in enumerate([0.5, 1.0], start=1):
             unsure = margins_of(logits) < 1.0
             rows = rows[unsure]
             if not len(rows):
                 break
-            expected_escalations.append((k - 1, k, len(rows)))
-            logits = ResumablePlan(model, rate).run(x[rows])
-            oracle_preds[rows] = np.argmax(logits, axis=-1)
-            oracle_stage[rows] = k
-        assert result.escalations == expected_escalations
-        assert np.array_equal(result.stages, oracle_stage)
-        assert np.array_equal(result.predictions, oracle_preds)
+            escalations.append((k - 1, k, len(rows)))
+            logits = run(rate, x[rows])
+            preds[rows] = np.argmax(logits, axis=-1)
+            stage[rows] = k
+        return preds, stage, escalations
+
+    def test_escalations_match_from_scratch_oracle(self, demo):
+        """Hand-compute the cascade from independent from-scratch plans."""
+        model, data = demo
+        x = data["eval_x"][:96].astype(np.float32)
+        executor = CascadeExecutor(model, self.stages(), exact=True,
+                                   incremental=True)
+        result = executor.run_batch(x)
+        preds, stage, escalations = self.hand_cascade(
+            x, lambda rate, rows: ResumablePlan(model, rate).run(rows))
+        assert result.escalations == escalations
+        assert np.array_equal(result.stages, stage)
+        assert np.array_equal(result.predictions, preds)
+
+    def test_compiled_escalations_match_hand_run_plans(self, demo):
+        """The default path is a hand-run compiled-plan cascade, bitwise."""
+        model, data = demo
+        x = data["eval_x"][:96].astype(np.float32)
+        result = CascadeExecutor(model, self.stages()).run_batch(x)
+        preds, stage, escalations = self.hand_cascade(
+            x, lambda rate, rows: compile_plan(model, rate).run(rows))
+        assert escalations   # planted hard rows escalate
+        assert result.escalations == escalations
+        assert np.array_equal(result.stages, stage)
+        assert np.array_equal(result.predictions, preds)
 
     def test_incremental_and_recompute_predictions_identical(self, demo):
         model, data = demo
         x = data["eval_x"][:64].astype(np.float32)
-        incremental = CascadeExecutor(model, self.stages()).run_batch(x)
+        incremental = CascadeExecutor(model, self.stages(),
+                                      incremental=True).run_batch(x)
         recompute = CascadeExecutor(model, self.stages(),
                                     incremental=False).run_batch(x)
         assert np.array_equal(incremental.predictions,
@@ -428,6 +453,29 @@ class TestCascadeExecutor:
         assert incremental.spent_madds < recompute.spent_madds
         assert incremental.flops_saved > 0
         assert recompute.flops_saved == 0
+
+    @pytest.mark.parametrize("build, row_shape", [
+        (lambda: MLP(in_features=12, hidden=(32, 24), num_classes=5,
+                     seed=1), (12,)),
+        (lambda: SlicedVGG.cifar_mini(seed=0), (3, 16, 16)),
+        (lambda: TransformerEncoder(seed=0), (3, 16, 16)),
+    ], ids=["mlp", "gn-vgg", "tenc"])
+    def test_recompute_madds_match_from_scratch_passes(self, build,
+                                                       row_shape):
+        """Per stage: spent == full == a from-scratch resumable pass."""
+        model = build()
+        model.eval()
+        x = np.random.default_rng(0).normal(
+            size=(5,) + row_shape).astype(np.float32)
+        executor = CascadeExecutor(model, self.stages(t0=1e9, t1=1e9))
+        for _ in range(2):   # the per-row cache must not change counts
+            result = executor.run_batch(x)
+            assert result.stage_rows == [5, 5, 5]
+            for k, rate in enumerate([0.25, 0.5, 1.0]):
+                plan = ResumablePlan(model, rate)
+                plan.run(x)
+                assert result.stage_spent[k] == plan.scratch_madds
+                assert result.stage_full[k] == plan.scratch_madds
 
     def test_high_threshold_escalates_everything(self, demo):
         model, data = demo
@@ -450,7 +498,7 @@ class TestCascadeExecutor:
         model, data = demo
         x = data["eval_x"][:64].astype(np.float32)
         latency = LatencyProfile(full_per_sample=0.002)
-        executor = CascadeExecutor(model, self.stages())
+        executor = CascadeExecutor(model, self.stages(), incremental=True)
         result = executor.run_batch(x)
         expected = 0.0
         for stage, rows, spent, full in zip(executor.stages,
@@ -556,7 +604,7 @@ def build_runtime(model, data, thresholds=(1.0, 1.0), replicas=2,
     rates = [0.25, 0.5, 1.0]
     stages = [CascadeStage(r, t) for r, t in zip(rates[:-1], thresholds)]
     stages.append(CascadeStage(rates[-1]))
-    executor = CascadeExecutor(model, stages, exact=True)
+    executor = CascadeExecutor(model, stages, exact=True, incremental=True)
     cost = {r: 0.002 * r * r for r in rates}
     controller = CascadeController(rates, cost, latency_slo=0.1)
     pool = ReplicaPool(

@@ -7,7 +7,9 @@ mutations in the parent must invalidate worker plan caches through the
 shared arena's version block, and workers must boot with the parent's
 seed, ``REPRO_*`` environment and observability state.  Workers run one
 BLAS thread, the parent keeps its own count, and worker answers stay
-bitwise equal to the (multi-threaded) parent's.
+bitwise equal to the (multi-threaded) parent's.  Worker cascades read
+the plan cache ``warm_cascade`` filled and recompile it after a parent
+weight update.
 """
 
 import os
@@ -57,6 +59,12 @@ def _spawn_factory():
     return MLP(in_features=8, hidden=[16, 16], num_classes=3, seed=41)
 
 
+def _cascade_stages():
+    stages = [CascadeStage(rate, 1.0) for rate in DEMO_RATES[:-1]]
+    stages.append(CascadeStage(DEMO_RATES[-1]))
+    return stages
+
+
 needs_openblas = pytest.mark.skipif(blas_threads() is None,
                                     reason="numpy's BLAS is not OpenBLAS")
 needs_spawn = pytest.mark.skipif(
@@ -100,9 +108,7 @@ class TestByteIdentical:
     def test_in_worker_cascade_matches_parent_executor(self, demo):
         model, data = demo
         rows = np.ascontiguousarray(data["eval_x"][:48], dtype=np.float32)
-        stages = [CascadeStage(rate, 1.0) for rate in DEMO_RATES[:-1]]
-        stages.append(CascadeStage(DEMO_RATES[-1]))
-        executor = CascadeExecutor(model, stages)
+        executor = CascadeExecutor(model, _cascade_stages())
         expected = executor.run_batch(rows)
         with ProcessReplicaPool(model, 1, seed=0) as pool:
             assert pool.warm_cascade(executor) > 0
@@ -111,6 +117,21 @@ class TestByteIdentical:
                                       expected.predictions)
         np.testing.assert_array_equal(result.stages, expected.stages)
         assert result.spent_madds == expected.spent_madds
+
+    def test_warm_fills_the_cache_the_cascade_reads(self, demo):
+        model, data = demo
+        executor = CascadeExecutor(model, _cascade_stages())
+        batches = [np.ascontiguousarray(data["eval_x"][i * 32:(i + 1) * 32],
+                                        dtype=np.float32) for i in range(4)]
+        with ProcessReplicaPool(model, 1, seed=0) as pool:
+            assert pool.warm_cascade(executor) == len(executor.stages)
+            reached = sum(len(pool.replicas[0].run_cascade(b).stage_rows)
+                          for b in batches)
+            cache = pool.worker_stats()[0]["cascade_cache"]
+        assert reached > len(batches)   # some batches escalate
+        assert cache["misses"] == len(executor.stages)
+        assert cache["hits"] == reached
+        assert cache["invalidations"] == 0
 
     def test_cascade_before_warm_is_an_error(self, demo):
         model, data = demo
@@ -144,6 +165,26 @@ class TestStaleness:
                                               expected)
             assert [s["plan_cache"]["invalidations"]
                     for s in pool.worker_stats()] == [1, 1]
+
+    def test_parent_mutation_after_warm_cascade_recompiles(self):
+        model, data = train_demo_model(seed=3, epochs=1)
+        model.eval()
+        rows = np.ascontiguousarray(data["eval_x"][:48], dtype=np.float32)
+        executor = CascadeExecutor(model, _cascade_stages())
+        with ProcessReplicaPool(model, 1, seed=0) as pool:
+            pool.warm_cascade(executor)
+            before = pool.replicas[0].run_cascade(rows)
+            with model.head.weight.mutate() as weights:
+                weights[:] = -weights
+            expected = executor.run_batch(rows)
+            result = pool.replicas[0].run_cascade(rows)
+            cache = pool.worker_stats()[0]["cascade_cache"]
+        assert not np.array_equal(before.predictions, expected.predictions)
+        np.testing.assert_array_equal(result.predictions,
+                                      expected.predictions)
+        np.testing.assert_array_equal(result.stages, expected.stages)
+        assert result.stage_spent == expected.stage_spent
+        assert cache["invalidations"] >= 1
 
     def test_mutate_scope_reaches_workers(self, demo):
         model, data = demo
