@@ -6,10 +6,32 @@
 :class:`~repro.tensor.shared.SharedArena` at boot (zero-copy — the
 prefix-nesting property means one widest-rate arena serves every slice
 profile read-only), compile inference plans locally from the shared
-prefix weights, and answer batches over a pickle-light
-request/response pipe.  The GIL stops mattering: aggregate
-requests/sec scales with cores, which is what
+prefix weights, and answer batches over a framed pipe.  The GIL stops
+mattering: aggregate requests/sec scales with cores, which is what
 ``benchmarks/test_serving_throughput.py`` measures.
+
+Wire format.  Every message each way is one raw frame, sent with
+``Connection.send_bytes``::
+
+    op:u8  ndim:u8  pad:2  tag:u32  dtype:8s  shape:ndim x i64  body
+
+A frame whose ``dtype`` field holds a numpy ``dtype.str`` (``<f4``,
+``|b1``, ...) carries one C-ordered array as its body, decoded without a
+copy by ``np.frombuffer`` (so the worker's inputs are read-only views);
+an empty ``dtype`` field means the body is a pickle.  The hot ops never
+pickle: ``predict`` sends the input array with ``tag`` = an interned
+profile id and gets the int predictions back, and ``cascade`` gets its
+:class:`~repro.runtime.cascade.CascadeResult` back as one int64 vector
+(:func:`pack_cascade`).  Profiles are interned per worker by
+:meth:`~repro.slicing.profile.SliceProfile.fingerprint` — ``0.5``,
+``UniformProfile(0.5)`` and an all-0.5 ``LayerProfile`` share one id —
+and each is pickled once, inside the ``warm`` request that ships it with
+its id and compiles its plan (``warm_plans``, or the first request at a
+new profile).  Control ops (``warm``, ``set_cascade``, ``stats``,
+``ping``, ``shutdown``) and error replies carry pickled bodies in the
+same frame, so the worker has one receive loop.  Replies are read
+strictly in order; a handle with unread replies refuses new requests
+rather than hand back a stale frame.
 
 Every worker runs one BLAS thread, so the pool's parallelism is its
 worker count: with OpenBLAS's default pool of one thread per core in
@@ -46,8 +68,11 @@ cache's counters as ``cascade_cache``.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import os
+import pickle
+import struct
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -58,9 +83,10 @@ import numpy as np
 from .. import obs
 from ..errors import ServingError
 from ..slicing.plans import PlanCache
-from ..slicing.profile import as_profile
+from ..slicing.profile import SliceProfile, as_profile
 from ..tensor.shared import SharedArena, _disinherit
 from ..utils.blas import blas_threads, pin_single_thread, single_thread_forks
+from .cascade import CascadeExecutor, CascadeResult
 from .pool import ReplicaPool
 from .replica import STATE_CRASHED, LatencyProfile, Replica
 
@@ -72,6 +98,84 @@ POOL_BACKENDS = ("thread", "process")
 #: Environment variable overriding the multiprocessing start method
 #: ("fork" where available, else "spawn").
 START_METHOD_ENV = "REPRO_WORKER_START"
+
+# Frame ops: requests, then the two reply kinds.
+(OP_PREDICT, OP_CASCADE, OP_WARM, OP_SET_CASCADE, OP_STATS, OP_PING,
+ OP_SHUTDOWN, OP_OK, OP_ERR) = range(9)
+
+#: op, ndim, 2 pad bytes, tag (profile id), dtype.str; then ``ndim``
+#: int64 dims.  16 + 8 * ndim bytes keeps the body 8-byte aligned.
+_HEADER = struct.Struct("<BBxxI8s")
+_DIMS = tuple(struct.Struct(f"<{n}q") for n in range(65))
+_PICKLED = bytes(8)           # empty dtype field: the body is a pickle
+_WIRE_KINDS = "biufc"         # bool, int, uint, float, complex
+
+
+def pack_frame(op: int, array: np.ndarray | None = None, tag: int = 0,
+               value=None) -> bytes:
+    """One wire frame: ``array``'s raw bytes, else ``value`` pickled.
+
+    Raises :class:`ServingError` for arrays whose dtype has no raw
+    layout (object, structured, strings, datetimes).
+    """
+    if array is None:
+        return _HEADER.pack(op, 0, tag, _PICKLED) + pickle.dumps(
+            value, pickle.HIGHEST_PROTOCOL)
+    dtype = array.dtype
+    if dtype.kind not in _WIRE_KINDS:
+        raise ServingError(f"cannot send a {dtype} array to a worker")
+    shape = array.shape
+    return b"".join((_HEADER.pack(op, len(shape), tag, dtype.str.encode()),
+                     _DIMS[len(shape)].pack(*shape),
+                     np.ascontiguousarray(array).data))
+
+
+@functools.lru_cache(maxsize=64)
+def _wire_dtype(code: bytes) -> np.dtype:
+    return np.dtype(code.rstrip(b"\0").decode())
+
+
+def unpack_frame(frame: bytes) -> tuple[int, int, object]:
+    """``(op, tag, payload)`` of one frame.
+
+    An array payload is a read-only ``np.frombuffer`` view of ``frame``.
+    """
+    op, ndim, tag, code = _HEADER.unpack_from(frame)
+    start = _HEADER.size + 8 * ndim
+    if code == _PICKLED:
+        return op, tag, pickle.loads(memoryview(frame)[start:])
+    shape = _DIMS[ndim].unpack_from(frame, _HEADER.size)
+    array = np.frombuffer(frame, _wire_dtype(code), offset=start)
+    return op, tag, array.reshape(shape)
+
+
+def pack_cascade(result: CascadeResult) -> np.ndarray:
+    """A :class:`CascadeResult` as one int64 vector.
+
+    Layout: ``n, k, e`` (rows, stages run, escalations), stage_rows /
+    stage_spent / stage_full (k each), the escalations as ``(from, to,
+    rows)`` triples (3e), then predictions (n) and stages (n).
+    """
+    counts = [len(result.predictions), len(result.stage_rows),
+              len(result.escalations), *result.stage_rows,
+              *result.stage_spent, *result.stage_full]
+    for triple in result.escalations:
+        counts.extend(triple)
+    return np.concatenate((counts, result.predictions, result.stages),
+                          dtype=np.int64)
+
+
+def unpack_cascade(vector: np.ndarray) -> CascadeResult:
+    """Inverse of :func:`pack_cascade` (the arrays view ``vector``)."""
+    n, k, e = vector[:3].tolist()
+    cut = 3 + 3 * k + 3 * e
+    counts = vector[3:cut].tolist()
+    triples = counts[3 * k:]
+    return CascadeResult(
+        predictions=vector[cut:cut + n], stages=vector[cut + n:],
+        stage_rows=counts[:k], stage_spent=counts[k:2 * k],
+        stage_full=counts[2 * k:3 * k],
+        escalations=list(zip(triples[::3], triples[1::3], triples[2::3])))
 
 
 @dataclass
@@ -93,10 +197,12 @@ class WorkerBoot:
 def _worker_main(boot: WorkerBoot, conn) -> None:
     """Request loop of one worker process.
 
-    Ops (all ``(op, payload)`` tuples, replies ``("ok", value)`` or
-    ``("err", message)``): ``predict``, ``warm``, ``cascade``,
-    ``set_cascade``, ``stats``, ``ping``, ``shutdown``.  Errors answer
-    the request instead of killing the worker.
+    Reads one frame per request (``OP_PREDICT``, ``OP_CASCADE``,
+    ``OP_WARM``, ``OP_SET_CASCADE``, ``OP_STATS``, ``OP_PING``,
+    ``OP_SHUTDOWN``) and answers each with one ``OP_OK`` or ``OP_ERR``
+    frame.  ``OP_WARM`` carries ``(id, profile)`` pairs: it interns
+    them and compiles their plans.  Errors answer the request instead
+    of killing the worker.
     """
     pin_single_thread()   # spawn: fresh OpenBLAS; fork: already 1
     _disinherit()   # a forked child must not touch the parent's arenas
@@ -116,51 +222,58 @@ def _worker_main(boot: WorkerBoot, conn) -> None:
     label = f"w{boot.index}"
     replica = Replica(label, LatencyProfile(1.0), model=model,
                       plan_cache=PlanCache(boot.plan_capacity))
+    profiles: dict[int, SliceProfile] = {}     # interned by the parent
     executor = None
     served = 0
+
+    def refresh() -> None:
+        refreshed = arena.refresh(model)
+        if refreshed and obs.enabled():
+            obs.count("worker_refreshes_total", amount=refreshed,
+                      worker=label)
+
+    def count(op: str) -> None:
+        nonlocal served
+        served += 1
+        if obs.enabled():
+            obs.count("worker_requests_total", worker=label, op=op)
+
     running = True
     while running:
         try:
-            op, payload = conn.recv()
+            frame = conn.recv_bytes()
         except (EOFError, OSError):
             break
         try:
-            if op == "predict":
-                inputs, rate = payload
-                refreshed = arena.refresh(model)
-                if refreshed and obs.enabled():
-                    obs.count("worker_refreshes_total", amount=refreshed,
-                              worker=label)
-                reply = ("ok", replica.predict(inputs, rate))
-                served += 1
-                if obs.enabled():
-                    obs.count("worker_requests_total", worker=label,
-                              op="predict")
-            elif op == "cascade":
+            op, tag, payload = unpack_frame(frame)
+            if op == OP_PREDICT:
+                profile = profiles.get(tag)
+                if profile is None:
+                    raise ServingError(f"unknown profile id {tag}")
+                refresh()
+                reply = pack_frame(OP_OK, replica.predict(payload, profile))
+                count("predict")
+            elif op == OP_CASCADE:
                 if executor is None:
                     raise ServingError(
                         "worker has no cascade; call warm_cascade first")
-                refreshed = arena.refresh(model)
-                if refreshed and obs.enabled():
-                    obs.count("worker_refreshes_total", amount=refreshed,
-                              worker=label)
-                reply = ("ok", executor.run_batch(payload))
-                served += 1
-                if obs.enabled():
-                    obs.count("worker_requests_total", worker=label,
-                              op="cascade")
-            elif op == "warm":
+                refresh()
+                reply = pack_frame(
+                    OP_OK, pack_cascade(executor.run_batch(payload)))
+                count("cascade")
+            elif op == OP_WARM:
+                profiles.update(payload)
                 arena.refresh(model)
-                reply = ("ok", replica.warm_plans(payload))
-            elif op == "set_cascade":
-                from .cascade import CascadeExecutor
+                reply = pack_frame(OP_OK, value=replica.warm_plans(
+                    [profile for _, profile in payload]))
+            elif op == OP_SET_CASCADE:
                 stages, exact, incremental = payload
                 arena.refresh(model)
                 executor = CascadeExecutor(model, stages, exact=exact,
                                            incremental=incremental)
-                reply = ("ok", executor.warm())
-            elif op == "stats":
-                reply = ("ok", {
+                reply = pack_frame(OP_OK, value=executor.warm())
+            elif op == OP_STATS:
+                reply = pack_frame(OP_OK, value={
                     "worker": label,
                     "pid": os.getpid(),
                     "seed": boot.seed + boot.index,
@@ -174,17 +287,17 @@ def _worker_main(boot: WorkerBoot, conn) -> None:
                     else executor.plans.stats(),
                     "blas_threads": blas_threads(),
                 })
-            elif op == "ping":
-                reply = ("ok", label)
-            elif op == "shutdown":
-                reply = ("ok", served)
+            elif op == OP_PING:
+                reply = pack_frame(OP_OK, value=label)
+            elif op == OP_SHUTDOWN:
+                reply = pack_frame(OP_OK, value=served)
                 running = False
             else:
                 raise ServingError(f"unknown worker op {op!r}")
         except Exception as exc:  # answer the request, don't die
-            reply = ("err", f"{type(exc).__name__}: {exc}")
+            reply = pack_frame(OP_ERR, value=f"{type(exc).__name__}: {exc}")
         try:
-            conn.send(reply)
+            conn.send_bytes(reply)
         except (BrokenPipeError, OSError):
             break
     if boot.obs_enabled:
@@ -202,34 +315,83 @@ class _WorkerHandle:
         self.conn = conn
         self.trace_path = trace_path
         self.pending = 0              # requests sent, replies not yet read
+        self._profiles: dict[str, int] = {}   # fingerprint -> interned id
 
     @property
     def alive(self) -> bool:
         return self.process.is_alive()
 
-    def send(self, op: str, payload=None) -> None:
+    def send(self, frame: bytes) -> None:
         try:
-            self.conn.send((op, payload))
+            self.conn.send_bytes(frame)
         except (BrokenPipeError, OSError) as exc:
             raise ServingError(
                 f"worker w{self.index} pipe is closed: {exc}") from exc
         self.pending += 1
 
     def recv(self):
+        """Read the oldest outstanding reply (arrays come back writable)."""
         try:
-            status, value = self.conn.recv()
+            frame = self.conn.recv_bytes()
         except (EOFError, OSError) as exc:
             self.pending = 0
             raise ServingError(
                 f"worker w{self.index} died mid-request") from exc
         self.pending -= 1
-        if status == "err":
+        op, _, value = unpack_frame(frame)
+        if op == OP_ERR:
             raise ServingError(f"worker w{self.index}: {value}")
-        return value
+        return value.copy() if isinstance(value, np.ndarray) else value
 
-    def request(self, op: str, payload=None):
-        self.send(op, payload)
+    def drain(self) -> None:
+        """Read and drop every outstanding reply."""
+        while self.pending:
+            try:
+                self.recv()
+            except ServingError:
+                pass
+
+    def expect_idle(self) -> None:
+        """Refuse to start a request while older replies are unread."""
+        if self.pending:
+            raise ServingError(
+                f"worker w{self.index} has {self.pending} unread "
+                f"replies; refusing a request that would read a stale one")
+
+    def request(self, frame: bytes):
+        self.expect_idle()
+        self.send(frame)
         return self.recv()
+
+    def call(self, op: int, value=None):
+        """A control request: pickled ``value`` out, pickled reply back."""
+        return self.request(pack_frame(op, value=value))
+
+    def profile_id(self, profile: SliceProfile) -> int:
+        """The worker's id for ``profile``, warming it on first use."""
+        tag = self._profiles.get(profile.fingerprint())
+        if tag is None:
+            self.warm([profile])
+            tag = self._profiles[profile.fingerprint()]
+        return tag
+
+    def warm(self, profiles: Sequence[SliceProfile]) -> int:
+        """Intern ``profiles`` in the worker and compile their plans.
+
+        New profiles take the next free ids, recorded once the worker
+        has answered; returns the plans ensured.
+        """
+        fresh: dict[str, int] = {}
+        tagged = []
+        for profile in profiles:
+            key = profile.fingerprint()
+            tag = self._profiles.get(key)
+            if tag is None:
+                tag = fresh.setdefault(key, len(self._profiles) + len(fresh))
+            tagged.append((tag, profile))
+        warmed = self.call(OP_WARM, tagged)
+        self._profiles.update(fresh)
+        return int(warmed)
 
 
 class WorkerReplica(Replica):
@@ -256,31 +418,40 @@ class WorkerReplica(Replica):
     def pid(self) -> int:
         return self._handle.process.pid
 
-    def _timed(self, op: str, payload):
-        start = time.perf_counter()
-        value = self._handle.request(op, payload)
+    @staticmethod
+    def _observe(op: str, start: float) -> None:
         if obs.enabled():
             obs.observe("worker_ipc_seconds",
                         time.perf_counter() - start, op=op)
-        return value
 
     def warm_plans(self, rates) -> int:
         self._pool.sync()
-        profiles = [as_profile(rate) for rate in rates]
-        return int(self._timed("warm", profiles))
+        start = time.perf_counter()
+        warmed = self._handle.warm([as_profile(rate) for rate in rates])
+        self._observe("warm", start)
+        return warmed
 
     def predict(self, inputs: np.ndarray, rate) -> np.ndarray:
         self._pool.sync()
-        return self._timed("predict", (np.asarray(inputs), as_profile(rate)))
+        start = time.perf_counter()
+        handle = self._handle
+        tag = handle.profile_id(as_profile(rate))
+        predictions = handle.request(
+            pack_frame(OP_PREDICT, np.asarray(inputs), tag))
+        self._observe("predict", start)
+        return predictions
 
-    def run_cascade(self, inputs: np.ndarray):
+    def run_cascade(self, inputs: np.ndarray) -> CascadeResult:
         """Cascade a batch inside the worker (escalations stay local)."""
         self._pool.sync()
-        rows = np.ascontiguousarray(inputs, dtype=np.float32)
-        return self._timed("cascade", rows)
+        start = time.perf_counter()
+        rows = np.asarray(inputs, dtype=np.float32)
+        vector = self._handle.request(pack_frame(OP_CASCADE, rows))
+        self._observe("cascade", start)
+        return unpack_cascade(vector)
 
     def stats(self) -> dict:
-        return self._handle.request("stats")
+        return self._handle.call(OP_STATS)
 
 
 class ProcessReplicaPool(ReplicaPool):
@@ -426,12 +597,12 @@ class ProcessReplicaPool(ReplicaPool):
         self.sync()
         payload = (list(executor.stages), executor.exact,
                    executor.incremental)
-        return sum(int(handle.request("set_cascade", payload))
+        return sum(int(handle.call(OP_SET_CASCADE, payload))
                    for handle in self._live())
 
     def worker_stats(self) -> list[dict]:
         """Boot/served/plan-cache report from every live worker."""
-        return [handle.request("stats") for handle in self._live()]
+        return [handle.call(OP_STATS) for handle in self._live()]
 
     def trace_paths(self) -> list[str]:
         """Per-worker JSONL trace files (for ``repro obs summarize``)."""
@@ -451,22 +622,34 @@ class ProcessReplicaPool(ReplicaPool):
         Round-robins batches over live workers, keeping up to
         ``window`` requests in flight per worker so every process stays
         busy — the wall-clock throughput path the serving benchmark
-        measures.
+        measures.  If any batch fails, every outstanding reply is read
+        and dropped before the error propagates, so the pipes stay in
+        step for the next request.
         """
         self.sync()
         profile = as_profile(rate)
         live = self._live()
+        tags = {}
+        for handle in live:
+            handle.expect_idle()
+            tags[handle.index] = handle.profile_id(profile)
         results: list = [None] * len(batches)
         queued: dict[int, list[int]] = {h.index: [] for h in live}
-        for position, batch in enumerate(batches):
-            handle = live[position % len(live)]
-            if handle.pending >= window:
-                results[queued[handle.index].pop(0)] = handle.recv()
-            handle.send("predict", (np.asarray(batch), profile))
-            queued[handle.index].append(position)
-        for handle in live:
-            while queued[handle.index]:
-                results[queued[handle.index].pop(0)] = handle.recv()
+        try:
+            for position, batch in enumerate(batches):
+                handle = live[position % len(live)]
+                if handle.pending >= window:
+                    results[queued[handle.index].pop(0)] = handle.recv()
+                handle.send(pack_frame(OP_PREDICT, np.asarray(batch),
+                                       tags[handle.index]))
+                queued[handle.index].append(position)
+            for handle in live:
+                while queued[handle.index]:
+                    results[queued[handle.index].pop(0)] = handle.recv()
+        except BaseException:
+            for handle in live:
+                handle.drain()
+            raise
         return results
 
     # -- lifecycle --------------------------------------------------------
@@ -478,9 +661,8 @@ class ProcessReplicaPool(ReplicaPool):
         for handle in self._handles:
             if handle.alive:
                 try:
-                    while handle.pending:
-                        handle.recv()
-                    handle.request("shutdown")
+                    handle.drain()
+                    handle.call(OP_SHUTDOWN)
                 except ServingError:
                     pass
             try:
