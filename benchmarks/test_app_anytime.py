@@ -13,17 +13,17 @@ pytestmark = pytest.mark.slow
 
 import numpy as np
 
-from repro.anytime import AnytimeMLP, anytime_accuracy_curve
 from repro.data import ArrayDataset, DataLoader
 from repro.models import MLP
 from repro.optim import SGD
-from repro.slicing import RandomStaticScheme, SliceTrainer
+from repro.slicing import (RandomStaticScheme, SliceTrainer, anytime_predict,
+                           scratch_madds)
 from repro.utils import format_table
 
 RATES = [0.25, 0.5, 0.75, 1.0]
 
 
-def _train_engine(seed=0):
+def _train_model(seed=0):
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(16, 4))
     x = rng.normal(size=(1536, 16)).astype(np.float32)
@@ -36,12 +36,17 @@ def _train_engine(seed=0):
     for _ in range(25):
         trainer.train_epoch(DataLoader(data, 64, shuffle=True,
                                        rng=np.random.default_rng(seed + 2)))
-    return AnytimeMLP(model, RATES), x[1024:], y[1024:]
+    return model, x[1024:], y[1024:]
 
 
 def test_anytime_prediction(emit, benchmark):
-    engine, inputs, labels = _train_engine()
-    curve = anytime_accuracy_curve(engine, inputs, labels)
+    model, inputs, labels = _train_model()
+    curve = [{**step,
+              "accuracy": float((step["logits"].argmax(axis=1)
+                                 == labels).mean()),
+              "from_scratch_madds": scratch_madds(model, step["rate"],
+                                                  len(labels))}
+             for step in anytime_predict(model, RATES, inputs)]
 
     rows = [[p["rate"], round(p["accuracy"], 3), p["step_madds"],
              p["cumulative_madds"], p["from_scratch_madds"]]
@@ -65,4 +70,5 @@ def test_anytime_prediction(emit, benchmark):
         0.2 * curve[-1]["from_scratch_madds"]
 
     # Benchmark: a full anytime run over the evaluation set.
-    benchmark.pedantic(lambda: engine.run(inputs), rounds=5, iterations=1)
+    benchmark.pedantic(lambda: anytime_predict(model, RATES, inputs),
+                       rounds=5, iterations=1)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.experiments.cascade_suite import cascade_experiment
 from repro.experiments.vgg_suite import sliced_vgg_experiment
-from repro.ranking import CascadeSimulation, CascadeStage
+from repro.ranking import CascadeSimulation, RankingStage
 from repro.utils import format_table
 
 
@@ -87,7 +87,7 @@ def test_table5_cascade_ranking(image_cfg, cache, emit, benchmark):
     sliced = sliced_vgg_experiment(image_cfg, cache)
     labels = np.asarray(sliced["labels"])
     stages = [
-        CascadeStage(
+        RankingStage(
             name=f"stage-{rate}",
             predict=lambda inputs, rate=rate: np.asarray(
                 sliced["predictions"][str(rate)]),

@@ -1,7 +1,7 @@
 """Anytime prediction example — answer now, improve while time allows.
 
-Trains a sliced MLP, then serves predictions through the
-:class:`~repro.anytime.AnytimeMLP` engine: the base subnet answers
+Trains a sliced MLP, then serves predictions through
+:func:`~repro.slicing.resume.anytime_predict`: the base subnet answers
 immediately; each refinement step widens every layer, reusing the
 already-computed base products (Sec. 3.5 of the paper) so the total cost
 of refining to full width equals ONE full-width pass.
@@ -12,9 +12,9 @@ Run:  python examples/anytime_prediction.py   (~20 seconds)
 import numpy as np
 
 from repro import MLP, RandomStaticScheme, SliceTrainer
-from repro.anytime import AnytimeMLP, anytime_accuracy_curve
 from repro.data import ArrayDataset, DataLoader
 from repro.optim import SGD
+from repro.slicing import anytime_predict, scratch_madds
 
 RATES = [0.25, 0.5, 0.75, 1.0]
 
@@ -36,10 +36,14 @@ def main() -> None:
                                    rng=np.random.default_rng(2)),
                 epochs=25)
 
-    engine = AnytimeMLP(model, RATES)
     print(f"\n{'rate':>6} {'accuracy':>9} {'step cost':>10} "
           f"{'cumulative':>11} {'from scratch':>13}")
-    curve = anytime_accuracy_curve(engine, test_inputs, test_labels)
+    curve = [{**step,
+              "accuracy": (step["logits"].argmax(axis=1)
+                           == test_labels).mean(),
+              "from_scratch_madds": scratch_madds(model, step["rate"],
+                                                  len(test_labels))}
+             for step in anytime_predict(model, RATES, test_inputs)]
     for point in curve:
         print(f"{point['rate']:>6} {point['accuracy']:>9.3f} "
               f"{point['step_madds']:>10,} {point['cumulative_madds']:>11,} "
@@ -52,10 +56,10 @@ def main() -> None:
 
     # A deadline cuts refinement short but always yields an answer.
     budget = curve[1]["cumulative_madds"]
-    steps = engine.run(test_inputs, budget_madds=budget)
-    print(f"under a {budget:,}-madd deadline the engine returned the "
-          f"rate-{steps[-1].rate} answer "
-          f"({(steps[-1].logits.argmax(axis=1) == test_labels).mean():.3f} "
+    last = anytime_predict(model, RATES, test_inputs, budget_madds=budget)[-1]
+    print(f"under a {budget:,}-madd deadline anytime prediction returned "
+          f"the rate-{last['rate']} answer "
+          f"({(last['logits'].argmax(axis=1) == test_labels).mean():.3f} "
           f"accuracy)")
 
 

@@ -2,8 +2,9 @@
 
 ``measured_flops`` runs an instrumented forward pass, so it reports the
 *actual* multiply-adds of the sliced computation — the quantity behind the
-``Ct`` rows of Tables 2 and 4.  ``active_params`` sums each sliced layer's
-resident parameters under a rate (the ``Mt`` rows).
+``Ct`` rows of Tables 2 and 4.  ``active_params`` counts the parameters a
+subnet deployed at a rate holds (the ``Mt`` rows), read from the same
+compiled steps :func:`~repro.slicing.deploy.materialize_subnet` ships.
 
 The memory helpers extend the same accounting to bytes, per
 :class:`~repro.slicing.profile.SliceProfile`: :func:`param_bytes` is the
@@ -22,7 +23,7 @@ import numpy as np
 
 from ..nn.module import Module
 from ..slicing.context import slice_profile
-from ..slicing.profile import as_profile
+from ..slicing.plans import compile_leaves
 from ..tensor import Tensor, count_flops, no_grad
 
 
@@ -58,50 +59,40 @@ def measured_flops(model: Module, input_shape: tuple[int, ...],
     return counter.total
 
 
+# Compiled steps hold float32 arrays, like the library's activations.
+_FLOAT32 = 4
+
+
+def _deployed(model: Module, rate) -> tuple[int, list]:
+    """Step bytes of the sliced leaves, and every parameter outside them."""
+    leaves = compile_leaves(model, rate)
+    sliced = {id(p) for parent, name, _ in leaves
+              for p in parent._modules[name].parameters()}
+    return (sum(step.param_bytes() for *_, step in leaves),
+            [p for p in model.parameters() if id(p) not in sliced])
+
+
 def active_params(model: Module, rate=1.0) -> int:
     """Parameters resident in memory when the model is deployed at ``rate``.
 
-    Sliced layers report their active prefix (resolved per slice point
-    when ``rate`` is a profile); plain layers report their full size.
+    Counts what :func:`~repro.slicing.deploy.materialize_subnet` ships,
+    for any profile: each sliced layer's compiled step, at the width
+    that actually arrives at it, and plain layers at full size.
     """
-    profile = as_profile(rate)
-    total = 0
-    for module in model.modules():
-        if hasattr(module, "active_param_count"):
-            layer_rate = profile.rate_for(getattr(module, "slice_point", None))
-            total += module.active_param_count(layer_rate)
-        else:
-            total += sum(p.size for p in module._parameters.values())
-    return total
-
-
-# Activations are float32 throughout the library; token-id inputs are
-# the one integer exception and report their true itemsize.
-_DEFAULT_ITEMSIZE = 4
+    step_bytes, plain = _deployed(model, rate)
+    return step_bytes // _FLOAT32 + sum(p.size for p in plain)
 
 
 def param_bytes(model: Module, rate=1.0) -> int:
     """Weight bytes resident when the model is deployed at ``rate``.
 
-    The byte counterpart of :func:`active_params`: sliced layers count
-    their active prefix only (what a
-    :func:`~repro.slicing.deploy.materialize_subnet` artifact ships),
-    plain layers their full storage.  An elastic replica that serves
-    *every* rate from one model hosts ``param_bytes(model, 1.0)``.
+    The byte counterpart of :func:`active_params`; for a declared model
+    family it equals ``compile_plan(model, rate).param_bytes()``.  An
+    elastic replica that serves every rate from one model hosts its
+    full weights instead.
     """
-    profile = as_profile(rate)
-    total = 0
-    for module in model.modules():
-        if hasattr(module, "active_param_count"):
-            layer_rate = profile.rate_for(getattr(module, "slice_point", None))
-            itemsize = max((p.data.itemsize
-                            for p in module._parameters.values()),
-                           default=_DEFAULT_ITEMSIZE)
-            total += module.active_param_count(layer_rate) * itemsize
-        else:
-            total += sum(p.data.nbytes
-                         for p in module._parameters.values())
-    return total
+    step_bytes, plain = _deployed(model, rate)
+    return step_bytes + sum(p.data.nbytes for p in plain)
 
 
 def _io_bytes(value) -> int:

@@ -45,12 +45,12 @@ class TransformerBlock(Module):
                  causal: bool, batch_first: bool, num_groups: int,
                  rng: np.random.Generator):
         super().__init__()
-        self.ln1 = LayerNorm(embed_dim, num_groups=num_groups)
+        self.ln1 = LayerNorm(embed_dim)
         self.attn = MultiHeadSelfAttention(
             embed_dim, num_heads, causal=causal, batch_first=batch_first,
             num_groups=num_groups, rng=rng,
         )
-        self.ln2 = LayerNorm(embed_dim, num_groups=num_groups)
+        self.ln2 = LayerNorm(embed_dim)
         self.fc1 = SlicedLinear(
             embed_dim, ffn_dim, slice_input=True, slice_output=True,
             rescale=False, num_groups=num_groups, rng=rng,
@@ -118,7 +118,7 @@ class TransformerEncoder(Module):
                              batch_first=True, num_groups=num_groups, rng=rng)
             for _ in range(depth)
         ])
-        self.ln_f = LayerNorm(embed_dim, num_groups=num_groups)
+        self.ln_f = LayerNorm(embed_dim)
         self.head = SlicedLinear(
             embed_dim, num_classes, slice_input=True, slice_output=False,
             rescale=False, num_groups=num_groups, rng=rng,
@@ -186,7 +186,7 @@ class TransformerLM(Module):
                              rng=rng)
             for _ in range(depth)
         ])
-        self.ln_f = LayerNorm(embed_dim, num_groups=num_groups)
+        self.ln_f = LayerNorm(embed_dim)
         self.decoder = SlicedLinear(
             embed_dim, vocab_size, slice_input=True, slice_output=False,
             rescale=False, num_groups=num_groups, rng=rng,

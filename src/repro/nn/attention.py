@@ -205,14 +205,6 @@ class MultiHeadSelfAttention(Module):
             rate = resolve_rate(self)
         return self.head_partition.groups_for(rate)
 
-    def active_param_count(self, rate: float) -> int:
-        """Parameters resident in memory when deployed at ``rate``."""
-        heads = self.active_heads(rate)
-        inner = heads * self.head_dim
-        d = (self.embed_partition.width_for(rate) if self.sliceable
-             else self.embed_dim)
-        return 3 * inner * d + d * inner + 3 * inner + d
-
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3:
             raise ShapeError(

@@ -60,9 +60,6 @@ class Embedding(Module):
             rate = resolve_rate(self)
         return self.out_partition.width_for(rate)
 
-    def active_param_count(self, rate: float) -> int:
-        return self.num_embeddings * self.active_width(rate)
-
     def forward(self, indices: np.ndarray) -> Tensor:
         width = self.active_width()
         if width == self.embedding_dim:
@@ -94,11 +91,6 @@ class LearnedPositional(Module):
         self.weight = Parameter(
             uniform(rng, (max_len, embedding_dim), init_bound)
         )
-
-    def active_param_count(self, rate: float) -> int:
-        # Positions are resident in full; only the width follows the rate,
-        # which this module cannot know without a partition — report full.
-        return self.max_len * self.embedding_dim
 
     def forward(self, x: Tensor) -> Tensor:
         seq_len = x.shape[1] if self.batch_first else x.shape[0]

@@ -124,23 +124,14 @@ class LayerNorm(Module):
     ``tests/test_gradcheck_sweep.py``.
     """
 
-    def __init__(self, num_features: int, eps: float = 1e-5,
-                 num_groups: int = 8):
+    def __init__(self, num_features: int, eps: float = 1e-5):
         super().__init__()
         if num_features <= 0:
             raise ConfigError("LayerNorm num_features must be positive")
         self.num_features = num_features
         self.eps = eps
-        # Group count of the residual-width partition this norm rides on;
-        # only used to report active parameter counts for a given rate.
-        self.num_groups = max(1, min(int(num_groups), num_features))
         self.weight = Parameter(ones((num_features,)))
         self.bias = Parameter(zeros((num_features,)))
-
-    def active_param_count(self, rate: float) -> int:
-        groups = max(1, min(round(rate * self.num_groups), self.num_groups))
-        width = round(self.num_features * groups / self.num_groups)
-        return 2 * width
 
     def forward(self, x: Tensor) -> Tensor:
         width = x.shape[-1]

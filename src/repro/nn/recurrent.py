@@ -81,7 +81,14 @@ class LSTMCell(Module):
 
 
 class GRUCell(Module):
-    """GRU cell with the standard r/z/n gate layout."""
+    """GRU cell with the r/z/n gate layout, resetting ``h`` before ``U_n``.
+
+    ``r = sigmoid(x W_r + h U_r + b_r)``, ``z`` likewise, and the candidate
+    ``n = tanh(x W_n + (r * h) U_n + b_n)``: the reset gate scales the
+    hidden state ahead of its matmul, with one bias per gate.  This is
+    the formulation :class:`~repro.slicing.recurrent.SlicedGRUCell` uses,
+    so a materialized sliced cell computes the same function.
+    """
 
     def __init__(self, input_size: int, hidden_size: int,
                  rng: np.random.Generator | None = None):
@@ -97,18 +104,18 @@ class GRUCell(Module):
             xavier_uniform(rng, (3 * hidden_size, hidden_size), fan_in=hidden_size,
                            fan_out=hidden_size)
         )
-        self.bias_ih = Parameter(zeros((3 * hidden_size,)))
-        self.bias_hh = Parameter(zeros((3 * hidden_size,)))
+        self.bias = Parameter(zeros((3 * hidden_size,)))
 
     def forward(self, x: Tensor, h: Tensor | None = None) -> Tensor:
         if h is None:
             h = _zero_state(x.shape[0], self.hidden_size)
         n = self.hidden_size
-        gi = x @ self.weight_ih.transpose() + self.bias_ih
-        gh = h @ self.weight_hh.transpose() + self.bias_hh
+        gi = x @ self.weight_ih.transpose() + self.bias
+        gh = h @ self.weight_hh[:2 * n].transpose()
         r = (gi[:, 0 * n:1 * n] + gh[:, 0 * n:1 * n]).sigmoid()
         z = (gi[:, 1 * n:2 * n] + gh[:, 1 * n:2 * n]).sigmoid()
-        cand = (gi[:, 2 * n:3 * n] + r * gh[:, 2 * n:3 * n]).tanh()
+        cand = (gi[:, 2 * n:3 * n]
+                + (r * h) @ self.weight_hh[2 * n:].transpose()).tanh()
         return (1.0 - z) * cand + z * h
 
 

@@ -2,7 +2,7 @@
 
 from .cascade import (
     CascadeSimulation,
-    CascadeStage,
+    RankingStage,
     StageResult,
     fixed_model_stages,
     sliced_model_stages,
@@ -10,7 +10,7 @@ from .cascade import (
 
 __all__ = [
     "CascadeSimulation",
-    "CascadeStage",
+    "RankingStage",
     "StageResult",
     "sliced_model_stages",
     "fixed_model_stages",

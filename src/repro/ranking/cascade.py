@@ -28,7 +28,7 @@ from ..errors import ConfigError
 
 
 @dataclass
-class CascadeStage:
+class RankingStage:
     """One ranking stage: a named predictor with its deployment cost."""
 
     name: str
@@ -51,7 +51,7 @@ class StageResult:
 class CascadeSimulation:
     """Run a classifier cascade over a labelled item set."""
 
-    def __init__(self, stages: Sequence[CascadeStage]):
+    def __init__(self, stages: Sequence[RankingStage]):
         if not stages:
             raise ConfigError("cascade needs at least one stage")
         self.stages = list(stages)
@@ -91,7 +91,7 @@ class CascadeSimulation:
 
 def sliced_model_stages(model, rates: Sequence[float],
                         flops_of_rate: dict[float, int],
-                        params_of_rate: dict[float, int]) -> list[CascadeStage]:
+                        params_of_rate: dict[float, int]) -> list[RankingStage]:
     """Build cascade stages from the subnets of one sliced model."""
     from ..slicing.context import slice_rate
     from ..tensor import Tensor, no_grad
@@ -104,7 +104,7 @@ def sliced_model_stages(model, rates: Sequence[float],
                 with slice_rate(rate):
                     return model(Tensor(inputs)).data.argmax(axis=1)
 
-        stages.append(CascadeStage(
+        stages.append(RankingStage(
             name=f"Subnet-{rate}",
             predict=predict,
             params=params_of_rate[rate],
@@ -115,7 +115,7 @@ def sliced_model_stages(model, rates: Sequence[float],
 
 def fixed_model_stages(members: dict[float, object],
                        flops_of_rate: dict[float, int],
-                       params_of_rate: dict[float, int]) -> list[CascadeStage]:
+                       params_of_rate: dict[float, int]) -> list[RankingStage]:
     """Build cascade stages from independently trained fixed models."""
     from ..slicing.context import slice_rate
     from ..tensor import Tensor, no_grad
@@ -130,7 +130,7 @@ def fixed_model_stages(members: dict[float, object],
                 with slice_rate(rate):
                     return model(Tensor(inputs)).data.argmax(axis=1)
 
-        stages.append(CascadeStage(
+        stages.append(RankingStage(
             name=f"Fixed-{rate}",
             predict=predict,
             params=params_of_rate[rate],

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import ServingError
-from ..slicing.context import slice_profile, validate_rate
+from ..slicing.context import validate_rate
 from ..slicing.plans import PlanCache, shared_cache
 from ..slicing.profile import SliceProfile, as_profile
 from ..tensor import Tensor, no_grad
@@ -105,12 +105,11 @@ class Replica:
 
     def __init__(self, replica_id: str, profile: LatencyProfile,
                  model=None, artifacts: Mapping[float, object] | None = None,
-                 use_plans: bool = True, plan_cache: PlanCache | None = None):
+                 plan_cache: PlanCache | None = None):
         self.replica_id = str(replica_id)
         self.profile = profile
         self.model = model
         self.artifacts = dict(artifacts or {})
-        self.use_plans = bool(use_plans)
         self.plan_cache = plan_cache
         self.state = STATE_HEALTHY
         self.busy_until = 0.0
@@ -200,8 +199,7 @@ class Replica:
         ``rate`` may be a scalar or a slice profile.  Prefers a
         materialized per-rate artifact (a deployed standalone subnet);
         otherwise serves through the compiled inference plan for
-        ``(model, rate)`` (see :mod:`repro.slicing.plans`), falling back
-        to the uncompiled sliced forward when ``use_plans=False``.
+        ``(model, rate)`` (see :mod:`repro.slicing.plans`).
         """
         profile = as_profile(rate)
         if profile in self.artifacts:
@@ -210,11 +208,7 @@ class Replica:
                 logits = self.artifacts[profile](batch).data
         elif self.model is None:
             return None
-        elif self.use_plans:
+        else:
             plan = self._cache().get(self.model, profile)
             logits = plan.run(np.asarray(inputs))
-        else:
-            batch = Tensor(np.asarray(inputs, dtype=np.float32))
-            with no_grad(), slice_profile(profile):
-                logits = self.model(batch).data
         return np.argmax(logits, axis=-1)

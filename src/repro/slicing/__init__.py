@@ -19,7 +19,8 @@
   retain intermediates, :meth:`~repro.slicing.resume.ResumablePlan.widen`
   to a nested wider profile with the Sec. 3.5 cross-term reuse
   (group-residual computation reuse; ``exact=False`` is the paper's
-  approximate rule).
+  approximate rule, which :func:`~repro.slicing.resume.anytime_predict`
+  runs for anytime prediction).
 """
 
 from .context import (
@@ -94,6 +95,7 @@ from .plans import (
 )
 from .resume import (
     ResumablePlan,
+    anytime_predict,
     pointwise_nested,
     scratch_madds,
 )
@@ -156,6 +158,7 @@ __all__ = [
     "get_plan",
     "shared_cache",
     "ResumablePlan",
+    "anytime_predict",
     "pointwise_nested",
     "scratch_madds",
     "families",

@@ -2,15 +2,19 @@
 
 The paper's conclusion notes that "model slicing is readily applicable to
 the model compression scenario by deploying a proper subnet".  This
-module makes that concrete: :func:`materialize_subnet` walks a sliced
-model and produces an independent network built from *plain*
-:mod:`repro.nn` layers whose weights are the active prefixes at the
-chosen rate — nothing of the full model is retained, so the deployed
-artifact genuinely shrinks on disk and in memory.
+module makes that concrete: :func:`materialize_subnet` produces an
+independent network built from *plain* :mod:`repro.nn` layers whose
+weights are the active prefixes at the chosen rate — nothing of the full
+model is retained, so the deployed artifact genuinely shrinks on disk and
+in memory.
 
-Rescaling factors (``full_in / active_in``) are baked into the
-materialized weights, so the deployed network computes exactly what the
-sliced model computes at that rate.
+Every sliced layer is compiled by
+:func:`~repro.slicing.plans.compile_layer` (through
+:func:`~repro.slicing.plans.compile_leaves`), and its plain replacement is
+filled from that step's arrays, rescale factors baked in.  Widths are
+therefore worked out once, by the same rule compiled plans use, and the
+deployed network holds exactly the parameters
+:func:`~repro.metrics.flops.active_params` counts.
 """
 
 from __future__ import annotations
@@ -22,280 +26,170 @@ import numpy as np
 from ..errors import ConfigError
 from ..nn.attention import MultiHeadSelfAttention
 from ..nn.conv import Conv2d
-from ..nn.embedding import Embedding
+from ..nn.embedding import Embedding, LearnedPositional
 from ..nn.linear import Linear
 from ..nn.module import Module
-from ..nn.norm import GroupNorm
-from ..nn.norm import BatchNorm2d, LayerNorm
-from ..nn.module import Parameter
+from ..nn.norm import BatchNorm2d, GroupNorm, LayerNorm
 from ..nn.recurrent import GRUCell, LSTMCell, RNNCell
-from .plans import _linear_scale, _recurrent_scale
-from .profile import as_profile, named_slice_points
-from .layers import (
-    MultiBatchNorm2d,
-    SlicedBatchNorm2d,
-    SlicedConv2d,
-    SlicedGroupNorm,
-    SlicedLinear,
-)
-from .recurrent import SlicedGRUCell, SlicedLSTMCell, SlicedRNNCell
+from . import plans
+from .layers import SlicedBatchNorm2d
 
 
-def _set(param: Parameter, value, key=...) -> None:
-    """Write into a parameter through :meth:`Parameter.mutate`."""
-    with param.mutate() as data:
-        data[key] = value
+def _fill(module: Module, **arrays) -> Module:
+    """Copy each array into the like-named parameter of ``module``."""
+    for name, value in arrays.items():
+        with getattr(module, name).mutate() as data:
+            data[...] = value
+    return module
 
 
-def _linear_from(layer: SlicedLinear, rate: float, in_rate: float) -> Linear:
-    out_w = layer.out_partition.width_for(rate) if layer.slice_output \
-        else layer.out_features
-    in_w = layer.in_partition.width_for(in_rate) if layer.slice_input \
-        else layer.in_features
-    plain = Linear(in_w, out_w, bias=layer.bias is not None,
-                   rng=np.random.default_rng(0))
-    scale = _linear_scale(layer, in_w)
-    _set(plain.weight, layer.weight.data[:out_w, :in_w] * scale)
-    if layer.bias is not None:
-        # The sliced layer rescales (Wx + b); bake the same factor in.
-        _set(plain.bias, layer.bias.data[:out_w] * scale)
-    return plain
+def _rng() -> np.random.Generator:
+    # Plain layers draw an initialization that _fill overwrites.
+    return np.random.default_rng(0)
 
 
-def _conv_from(layer: SlicedConv2d, rate: float, in_rate: float) -> Conv2d:
-    out_w = layer.active_out_channels(rate)
-    in_w = layer.in_partition.width_for(in_rate) if layer.slice_input \
-        else layer.in_channels
-    plain = Conv2d(in_w, out_w, layer.kernel_size, stride=layer.stride,
-                   padding=layer.padding, bias=layer.bias is not None,
-                   rng=np.random.default_rng(0))
-    _set(plain.weight, layer.weight.data[:out_w, :in_w])
-    if layer.bias is not None:
-        _set(plain.bias, layer.bias.data[:out_w])
-    return plain
+def _linear(step: plans.LinearStep) -> Linear:
+    # The sliced layer rescales (Wx + b); bake the same factor into both.
+    out_w, in_w = step.weight.shape
+    plain = Linear(in_w, out_w, bias=step.bias is not None, rng=_rng())
+    if step.bias is not None:
+        _fill(plain, bias=step.bias * step.scale)
+    return _fill(plain, weight=step.weight * step.scale)
 
 
-def _groupnorm_from(layer: SlicedGroupNorm, rate: float,
-                    in_rate: float) -> GroupNorm:
-    # Norm width follows the arriving activation (the feeding layer's
-    # rate), exactly as the live input-width-driven forward does.
-    groups = max(1, min(round(in_rate * layer.num_groups), layer.num_groups))
-    channels = groups * layer.group_size
-    plain = GroupNorm(groups, channels, eps=layer.eps)
-    _set(plain.weight, layer.weight.data[:channels])
-    _set(plain.bias, layer.bias.data[:channels])
-    return plain
+def _conv(step: plans.ConvStep) -> Conv2d:
+    plain = Conv2d(step.in_channels, step.out_channels, step.kernel_size,
+                   stride=step.stride, padding=step.padding,
+                   bias=step.bias is not None, rng=_rng())
+    if step.bias is not None:
+        _fill(plain, bias=step.bias)
+    return _fill(plain, weight=step.weight)
 
 
-def _rnn_cell_from(cell: SlicedRNNCell, rate: float,
-                   in_rate: float) -> RNNCell:
-    hidden = cell.partition.width_for(rate)
-    in_w = cell.in_partition.width_for(in_rate) if cell.slice_input \
-        else cell.input_size
-    plain = RNNCell(in_w, hidden, rng=np.random.default_rng(0))
-    scale = _recurrent_scale(cell, in_w, hidden)
-    _set(plain.weight_ih, cell.weight_ih.data[:hidden, :in_w] * scale)
-    _set(plain.weight_hh, cell.weight_hh.data[:hidden, :hidden] * scale)
-    _set(plain.bias, cell.bias.data[:hidden] * scale)
-    return plain
+def _group_norm(step: plans.GroupNormStep) -> GroupNorm:
+    plain = GroupNorm(step.channels // step.group_size, step.channels,
+                      eps=step.eps)
+    return _fill(plain, weight=step.weight, bias=step.bias)
 
 
-def _lstm_cell_from(cell: SlicedLSTMCell, rate: float,
-                    in_rate: float) -> LSTMCell:
-    hidden = cell.partition.width_for(rate)
-    in_w = cell.in_partition.width_for(in_rate) if cell.slice_input \
-        else cell.input_size
-    plain = LSTMCell(in_w, hidden, rng=np.random.default_rng(0))
-    scale = _recurrent_scale(cell, in_w, hidden)
-    for k, gate in enumerate(("i", "f", "g", "o")):
-        w_ih = getattr(cell, f"w_ih_{gate}").data[:hidden, :in_w]
-        w_hh = getattr(cell, f"w_hh_{gate}").data[:hidden, :hidden]
-        bias = getattr(cell, f"bias_{gate}").data[:hidden]
-        rows = slice(k * hidden, (k + 1) * hidden)
-        _set(plain.weight_ih, w_ih * scale, rows)
-        _set(plain.weight_hh, w_hh * scale, rows)
-        _set(plain.bias, bias * scale, rows)
-    return plain
+def _batch_norm(step: plans.BatchNormStep) -> BatchNorm2d:
+    plain = BatchNorm2d(step.channels, eps=step.eps)
+    plain.running_mean = step.running_mean.copy()
+    plain.running_var = step.running_var.copy()
+    return _fill(plain, weight=step.weight, bias=step.bias)
 
 
-def _gru_cell_from(cell: SlicedGRUCell, rate: float,
-                   in_rate: float) -> GRUCell:
-    hidden = cell.partition.width_for(rate)
-    in_w = cell.in_partition.width_for(in_rate) if cell.slice_input \
-        else cell.input_size
-    plain = GRUCell(in_w, hidden, rng=np.random.default_rng(0))
-    scale = _recurrent_scale(cell, in_w, hidden)
-    for k, gate in enumerate(("r", "z", "n")):
-        w_ih = getattr(cell, f"w_ih_{gate}").data[:hidden, :in_w]
-        w_hh = getattr(cell, f"w_hh_{gate}").data[:hidden, :hidden]
-        bias = getattr(cell, f"bias_{gate}").data[:hidden]
-        rows = slice(k * hidden, (k + 1) * hidden)
-        _set(plain.weight_ih, w_ih * scale, rows)
-        _set(plain.weight_hh, w_hh * scale, rows)
-        _set(plain.bias_ih, bias * scale, rows)
-    return plain
+def _rnn_cell(step: plans.RNNCellStep) -> RNNCell:
+    plain = RNNCell(step.in_width, step.hidden, rng=_rng())
+    return _fill(plain, weight_ih=step.weight_ih * step.scale,
+                 weight_hh=step.weight_hh * step.scale,
+                 bias=step.bias * step.scale)
 
 
-def _attention_from(layer: MultiHeadSelfAttention, rate: float,
-                    in_rate: float) -> MultiHeadSelfAttention:
-    """A non-sliceable attention holding only the active head prefix.
+def _lstm_cell(step: plans.LSTMCellStep) -> LSTMCell:
+    plain = LSTMCell(step.in_width, step.hidden, rng=_rng())
+    return _fill(plain, weight_ih=step.weight_ih * step.scale,
+                 weight_hh=step.weight_hh * step.scale,
+                 bias=step.bias * step.scale)
 
-    ``rate`` picks the head count (whole trailing heads drop, so each
-    retained head keeps its full ``head_dim``); the arriving rate picks
-    the residual width the QKV columns and output rows follow.
-    """
-    if not layer.sliceable:
-        return copy.deepcopy(layer)
-    heads = layer.head_partition.groups_for(rate)
-    head_dim = layer.head_dim
-    inner = heads * head_dim
-    width = layer.embed_partition.width_for(in_rate)
+
+def _gru_cell(step: plans.GRUCellStep) -> GRUCell:
+    # The rescale applies to the r and z gates only, as in the sliced cell.
+    arrays = {"weight_ih": step.weight_ih.copy(),
+              "weight_hh": step.weight_hh.copy(), "bias": step.bias.copy()}
+    for array in arrays.values():
+        array[:2 * step.hidden] *= step.scale
+    return _fill(GRUCell(step.in_width, step.hidden, rng=_rng()), **arrays)
+
+
+def _attention(step: plans.AttentionStep) -> MultiHeadSelfAttention:
     plain = MultiHeadSelfAttention(
-        width, heads, head_dim=head_dim, causal=layer.causal,
-        batch_first=layer.batch_first, sliceable=False,
-        rng=np.random.default_rng(0),
+        step.proj_weight.shape[0], step.heads, head_dim=step.head_dim,
+        causal=step.causal, batch_first=step.batch_first, sliceable=False,
+        rng=_rng(),
     )
-    _set(plain.qkv_weight, layer.qkv_weight.data[:3 * inner, :width])
-    _set(plain.qkv_bias, layer.qkv_bias.data[:3 * inner])
-    _set(plain.proj_weight, layer.proj_weight.data[:width, :inner])
-    _set(plain.proj_bias, layer.proj_bias.data[:width])
-    return plain
+    return _fill(plain, qkv_weight=step.qkv_weight, qkv_bias=step.qkv_bias,
+                 proj_weight=step.proj_weight, proj_bias=step.proj_bias)
 
 
-def _layernorm_from(layer: LayerNorm, rate: float,
-                    in_rate: float) -> LayerNorm:
-    # Like GroupNorm, width follows the arriving activation.
-    groups = max(1, min(round(in_rate * layer.num_groups), layer.num_groups))
-    width = round(layer.num_features * groups / layer.num_groups)
-    plain = LayerNorm(width, eps=layer.eps,
-                      num_groups=min(layer.num_groups, width))
-    _set(plain.weight, layer.weight.data[:width])
-    _set(plain.bias, layer.bias.data[:width])
-    return plain
+def _layer_norm(step: plans.LayerNormStep) -> LayerNorm:
+    plain = LayerNorm(step.weight.shape[0], eps=step.eps)
+    return _fill(plain, weight=step.weight, bias=step.bias)
 
 
-def _embedding_from(layer: Embedding, rate: float, in_rate: float) -> Embedding:
-    # Width controllers shrink to their active columns; plain embeddings
-    # materialize at full width (nothing to slice).
-    width = layer.out_partition.width_for(rate) if layer.slice_output \
-        else layer.embedding_dim
-    plain = Embedding(layer.num_embeddings, width,
-                      rng=np.random.default_rng(0))
-    _set(plain.weight, layer.weight.data[:, :width])
-    return plain
+def _positional(step: plans.PositionalStep) -> LearnedPositional:
+    plain = LearnedPositional(*step.weight.shape,
+                              batch_first=step.batch_first, rng=_rng())
+    return _fill(plain, weight=step.weight)
 
 
-def _multi_bn_from(layer: MultiBatchNorm2d, rate: float,
-                   in_rate: float) -> BatchNorm2d:
-    # The arriving width (feeding conv's rate) picks the statistics
-    # branch, matching the width the live forward would normalize.
-    best = min(layer._rate_keys, key=lambda r: abs(r - in_rate))
-    source: BatchNorm2d = getattr(layer, f"bn_{layer._key(best)}")
-    plain = BatchNorm2d(source.num_features, eps=source.eps,
-                        momentum=source.momentum)
-    _set(plain.weight, source.weight.data)
-    _set(plain.bias, source.bias.data)
-    plain.running_mean = source.running_mean.copy()
-    plain.running_var = source.running_var.copy()
-    return plain
+def _embedding(step: plans.EmbeddingStep) -> Embedding:
+    return _fill(Embedding(*step.weight.shape, rng=_rng()),
+                 weight=step.weight)
 
 
-_CONVERTERS = [
-    (SlicedLinear, _linear_from),
-    (SlicedConv2d, _conv_from),
-    (SlicedGroupNorm, _groupnorm_from),
-    (SlicedLSTMCell, _lstm_cell_from),
-    (SlicedRNNCell, _rnn_cell_from),
-    (SlicedGRUCell, _gru_cell_from),
-    (MultiBatchNorm2d, _multi_bn_from),
-    (MultiHeadSelfAttention, _attention_from),
-    (LayerNorm, _layernorm_from),
-    (Embedding, _embedding_from),
-]
+_BUILDERS = {
+    plans.LinearStep: _linear,
+    plans.ConvStep: _conv,
+    plans.GroupNormStep: _group_norm,
+    plans.BatchNormStep: _batch_norm,
+    plans.RNNCellStep: _rnn_cell,
+    plans.LSTMCellStep: _lstm_cell,
+    plans.GRUCellStep: _gru_cell,
+    plans.AttentionStep: _attention,
+    plans.LayerNormStep: _layer_norm,
+    plans.PositionalStep: _positional,
+    plans.EmbeddingStep: _embedding,
+}
 
 
 def materialize_subnet(model: Module, rate) -> Module:
     """Return a standalone plain copy of ``Subnet-rate``.
 
     ``rate`` may be a scalar or a
-    :class:`~repro.slicing.profile.SliceProfile`; each sliced layer is
-    materialized at the rate the profile resolves for its slice-point
-    name.  Input widths are *threaded*: each input-sliced layer consumes
-    the width produced by the previous width-controlling slice point (in
-    slice-point traversal order, which matches dataflow order for the
-    sequential bundled models), so non-uniform profiles deploy with the
-    exact widths the live forward produces.
+    :class:`~repro.slicing.profile.SliceProfile`.  Each sliced layer
+    becomes a plain layer holding only the step
+    :func:`~repro.slicing.plans.compile_leaves` compiles for it, with
+    input widths threaded as the live forward produces them, so
+    non-uniform profiles deploy with the exact widths they run at.
 
-    The original model is untouched.  Sliced layers become plain layers
-    holding only the active prefix weights (with any rescaling baked in);
-    everything else (activations, pooling, containers, composite blocks)
-    is deep-copied.  The result no longer responds to ``slice_rate`` —
-    it *is* the subnet.
+    The original model is untouched.  Everything else (activations,
+    pooling, containers, composite blocks) is deep-copied.  The result no
+    longer responds to ``slice_rate`` — it *is* the subnet.
 
     Raises
     ------
     ConfigError
-        If the model contains a sliced layer type with no converter
-        (e.g. :class:`SlicedBatchNorm2d`, whose running statistics are
-        not meaningful for a single deployed width).
+        If the model has no sliced layer, or contains a
+        :class:`SlicedBatchNorm2d`, whose running statistics are not
+        meaningful for a single deployed width.
+    PlanError
+        If a layer cannot run at ``rate`` (e.g. a
+        :class:`~repro.slicing.layers.MultiBatchNorm2d` with no branch
+        for it).
     """
-    profile = as_profile(rate)
     clone = copy.deepcopy(model)
-    replaced = 0
-
-    # The rate of the activation *arriving* at each sliced module: the
-    # most recent width-controlling slice point before it in traversal
-    # order (dataflow order for the sequential bundled models).
-    in_rates: dict[int, float] = {}
-    feeder = profile.rate_for(None)
-    for point, module in named_slice_points(clone):
-        in_rates[id(module)] = feeder
-        if isinstance(module, (SlicedLinear, SlicedConv2d)):
-            if module.slice_output:
-                feeder = profile.rate_for(point)
-        elif isinstance(module, (SlicedRNNCell, SlicedLSTMCell,
-                                 SlicedGRUCell)):
-            feeder = profile.rate_for(point)
-        elif isinstance(module, Embedding) and module.slice_output:
-            # Width-controller embedding: everything downstream follows
-            # its width.  (Attention is *not* a feeder — its output width
-            # equals its input width, like norms.)
-            feeder = profile.rate_for(point)
-
-    def visit(module: Module) -> None:
-        nonlocal replaced
-        for name, child in list(module._modules.items()):
-            converted = None
-            for kind, converter in _CONVERTERS:
-                if type(child) is kind:
-                    layer_rate = profile.rate_for(
-                        getattr(child, "slice_point", None))
-                    in_rate = in_rates.get(id(child), layer_rate)
-                    converted = converter(child, layer_rate, in_rate)
-                    break
-            if converted is not None:
-                module.register_module(name, converted)
-                replaced += 1
-                # Composite modules may alias children in plain lists
-                # (e.g. SlicedVGG._ops, SlicedLSTM.cells); patch those.
-                _patch_aliases(module, child, converted)
-            else:
-                if isinstance(child, SlicedBatchNorm2d):
-                    raise ConfigError(
-                        "cannot materialize SlicedBatchNorm2d; train with "
-                        "group normalization for deployable subnets"
-                    )
-                visit(child)
-
-    visit(clone)
-    if replaced == 0:
+    leaves = plans.compile_leaves(clone, rate)
+    if not leaves:
         raise ConfigError("model contains no sliceable layers")
+    for parent, name, step in leaves:
+        old = parent._modules[name]
+        if isinstance(old, SlicedBatchNorm2d):
+            raise ConfigError(
+                "cannot materialize SlicedBatchNorm2d; train with "
+                "group normalization for deployable subnets"
+            )
+        new = _BUILDERS[type(step)](step)
+        parent.register_module(name, new)
+        # Composite modules may alias children in plain lists
+        # (e.g. SlicedVGG._ops, SlicedLSTM.cells); patch those.
+        _patch_aliases(parent, old, new)
     return clone
 
 
 def _patch_aliases(parent: Module, old: Module, new: Module) -> None:
     """Replace references to ``old`` inside plain-list attributes."""
-    for attr, value in vars(parent).items():
+    for value in vars(parent).values():
         if isinstance(value, list):
             for i, item in enumerate(value):
                 if item is old:

@@ -74,14 +74,6 @@ class SlicedLinear(Module):
         # is a single neuron; attention overrides this with head_dim.
         self.slice_group_size = 1
 
-    def active_param_count(self, rate: float) -> int:
-        """Parameters resident in memory when deployed at ``rate``."""
-        out_w = self.out_partition.width_for(rate) if self.slice_output \
-            else self.out_features
-        in_w = self.in_partition.width_for(rate) if self.slice_input \
-            else self.in_features
-        return out_w * in_w + (out_w if self.bias is not None else 0)
-
     def forward(self, x: Tensor) -> Tensor:
         in_width = x.shape[-1]
         if not self.slice_input and in_width != self.in_features:
@@ -143,14 +135,6 @@ class SlicedConv2d(Module):
         self.bias = Parameter(zeros((out_channels,))) if bias else None
         self.slice_point = auto_slice_point(self)
         self.slice_group_size = 1
-
-    def active_param_count(self, rate: float) -> int:
-        """Parameters resident in memory when deployed at ``rate``."""
-        out_w = self.active_out_channels(rate)
-        in_w = self.in_partition.width_for(rate) if self.slice_input \
-            else self.in_channels
-        kh, kw = self.kernel_size
-        return out_w * in_w * kh * kw + (out_w if self.bias is not None else 0)
 
     def active_out_channels(self, rate: float | None = None) -> int:
         """Output channels active at ``rate`` (current rate if omitted)."""
@@ -240,11 +224,6 @@ class SlicedGroupNorm(Module):
         """Mean |gamma| per slice group — the telemetry behind Figure 6."""
         gamma = np.abs(self.weight.data)
         return gamma.reshape(self.num_groups, self.group_size).mean(axis=1)
-
-    def active_param_count(self, rate: float) -> int:
-        """Parameters resident in memory when deployed at ``rate``."""
-        groups = max(1, min(round(rate * self.num_groups), self.num_groups))
-        return 2 * groups * self.group_size
 
 
 class SlicedBatchNorm2d(Module):

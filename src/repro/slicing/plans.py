@@ -51,15 +51,16 @@ from numpy.lib.stride_tricks import as_strided
 
 from .. import obs
 from ..errors import PlanError
+from ..nn.attention import MultiHeadSelfAttention, attention_eval, causal_mask
 from ..nn.dropout import Dropout
-from ..nn.embedding import Embedding
-from ..nn.norm import BatchNorm2d
+from ..nn.embedding import Embedding, LearnedPositional
+from ..nn.norm import BatchNorm2d, LayerNorm, layer_norm_eval
 from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..tensor import Tensor, no_grad
 from ..tensor.ops import window_max
 from .context import slice_profile
 from .families import Family, Op, family_of
-from .profile import SliceProfile, as_profile, validate_rate
+from .profile import SliceProfile, as_profile, snap_rate, validate_rate
 from .layers import (
     MultiBatchNorm2d,
     SlicedBatchNorm2d,
@@ -80,6 +81,7 @@ __all__ = [
     "PlanCache",
     "compile_plan",
     "compile_layer",
+    "compile_leaves",
     "shared_cache",
     "get_plan",
 ]
@@ -284,12 +286,15 @@ class BatchNormStep(PlanStep):
     def __init__(self, gamma: np.ndarray, beta: np.ndarray,
                  running_mean: np.ndarray, running_var: np.ndarray,
                  eps: float, relu: bool = False):
-        gamma, beta = _f32(gamma), _f32(beta)
-        mean, var = _f32(running_mean), _f32(running_var)
-        inv = (var + np.float32(eps)) ** -0.5
-        self.channels = gamma.shape[0]
-        self.scale = _f32(gamma * inv)
-        self.shift = _f32(beta - mean * inv * gamma)
+        # The unfolded prefixes stay readable for deployment.
+        self.weight, self.bias = _f32(gamma), _f32(beta)
+        self.running_mean = _f32(running_mean)
+        self.running_var = _f32(running_var)
+        self.eps = float(eps)
+        inv = (self.running_var + np.float32(eps)) ** -0.5
+        self.channels = self.weight.shape[0]
+        self.scale = _f32(self.weight * inv)
+        self.shift = _f32(self.bias - self.running_mean * inv * self.weight)
         self.relu = bool(relu)
 
     def param_bytes(self) -> int:
@@ -424,8 +429,6 @@ class LayerNormStep(PlanStep):
     kind = "layernorm"
 
     def __init__(self, gamma: np.ndarray, beta: np.ndarray, eps: float):
-        from ..nn.norm import layer_norm_eval
-
         self.weight = _f32(gamma)
         self.bias = _f32(beta)
         self.eps = float(eps)
@@ -462,29 +465,21 @@ class PositionalStep(PlanStep):
         return x + pos
 
 
-class AttentionBlockStep(PlanStep):
-    """Pre-norm attention half-block: ``x + attn(ln(x))``, LN folded in.
+class AttentionStep(PlanStep):
+    """Self-attention over the active head prefix at the arriving width.
 
-    The LayerNorm is evaluated inline (no separate step, no autograd
-    graph) and the packed head-major QKV prefix runs as **one GEMM** for
-    all active heads.  The causal mask comes from the process-wide
+    The packed head-major QKV prefix runs as **one GEMM** for all active
+    heads.  The causal mask comes from the process-wide
     :func:`repro.nn.attention.causal_mask` cache, shared with the live
     layer and resumable plans.  ``qkv_weight``/``proj_weight`` hold the
     raw prefixes, so nesting tests can compare them across profiles.
     """
 
-    kind = "attention"
+    kind = "self_attention"
 
-    def __init__(self, ln_gamma: np.ndarray, ln_beta: np.ndarray, eps: float,
-                 qkv_weight: np.ndarray, qkv_bias: np.ndarray,
+    def __init__(self, qkv_weight: np.ndarray, qkv_bias: np.ndarray,
                  proj_weight: np.ndarray, proj_bias: np.ndarray,
                  head_dim: int, causal: bool, batch_first: bool):
-        from ..nn.attention import attention_eval, causal_mask
-        from ..nn.norm import layer_norm_eval
-
-        self.ln_gamma = _f32(ln_gamma)
-        self.ln_beta = _f32(ln_beta)
-        self.eps = float(eps)
         self.qkv_weight = _f32(qkv_weight)
         self.qkv_bias = _f32(qkv_bias)
         self.proj_weight = _f32(proj_weight)
@@ -495,22 +490,46 @@ class AttentionBlockStep(PlanStep):
         self.batch_first = bool(batch_first)
         self._attention = attention_eval
         self._mask = causal_mask
-        self._ln = layer_norm_eval
 
     def param_bytes(self) -> int:
-        return (self.ln_gamma.nbytes + self.ln_beta.nbytes
-                + self.qkv_weight.nbytes + self.qkv_bias.nbytes
+        return (self.qkv_weight.nbytes + self.qkv_bias.nbytes
                 + self.proj_weight.nbytes + self.proj_bias.nbytes)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        hx = self._ln(x, self.ln_gamma, self.ln_beta, self.eps)
         seq_len = x.shape[1] if self.batch_first else x.shape[0]
         mask = self._mask(seq_len) if self.causal else None
-        return x + self._attention(
-            hx, self.qkv_weight, self.qkv_bias, self.proj_weight,
+        return self._attention(
+            x, self.qkv_weight, self.qkv_bias, self.proj_weight,
             self.proj_bias, self.head_dim, mask=mask,
             batch_first=self.batch_first,
         )
+
+
+class AttentionBlockStep(AttentionStep):
+    """Pre-norm attention half-block: ``x + attn(ln(x))``, LN folded in.
+
+    The LayerNorm is evaluated inline (no separate step, no autograd
+    graph) ahead of the :class:`AttentionStep` arithmetic.
+    """
+
+    kind = "attention"
+
+    def __init__(self, ln: LayerNormStep, attn: AttentionStep):
+        super().__init__(attn.qkv_weight, attn.qkv_bias, attn.proj_weight,
+                         attn.proj_bias, attn.head_dim, attn.causal,
+                         attn.batch_first)
+        self.ln_gamma = ln.weight
+        self.ln_beta = ln.bias
+        self.eps = ln.eps
+        self._ln = ln._eval
+
+    def param_bytes(self) -> int:
+        return (self.ln_gamma.nbytes + self.ln_beta.nbytes
+                + super().param_bytes())
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return x + super().__call__(
+            self._ln(x, self.ln_gamma, self.ln_beta, self.eps))
 
 
 class FFNBlockStep(PlanStep):
@@ -518,19 +537,15 @@ class FFNBlockStep(PlanStep):
 
     kind = "ffn"
 
-    def __init__(self, ln_gamma: np.ndarray, ln_beta: np.ndarray, eps: float,
-                 fc1_weight: np.ndarray, fc1_bias: np.ndarray,
-                 fc2_weight: np.ndarray, fc2_bias: np.ndarray):
-        from ..nn.norm import layer_norm_eval
-
-        self.ln_gamma = _f32(ln_gamma)
-        self.ln_beta = _f32(ln_beta)
-        self.eps = float(eps)
-        self.fc1_weight = _f32(fc1_weight)
-        self.fc1_bias = _f32(fc1_bias)
-        self.fc2_weight = _f32(fc2_weight)
-        self.fc2_bias = _f32(fc2_bias)
-        self._ln = layer_norm_eval
+    def __init__(self, ln: LayerNormStep, fc1: DenseStep, fc2: DenseStep):
+        self.ln_gamma = ln.weight
+        self.ln_beta = ln.bias
+        self.eps = ln.eps
+        self.fc1_weight = fc1.weight
+        self.fc1_bias = fc1.bias
+        self.fc2_weight = fc2.weight
+        self.fc2_bias = fc2.bias
+        self._ln = ln._eval
 
     def param_bytes(self) -> int:
         return (self.ln_gamma.nbytes + self.ln_beta.nbytes
@@ -570,7 +585,7 @@ class RNNCellStep(PlanStep):
 
     def __init__(self, cell: SlicedRNNCell, rate: float, in_width: int):
         hidden = cell.partition.width_for(rate)
-        self.hidden = hidden
+        self.hidden = self.out_width = hidden
         self.in_width = in_width
         self.scale = _recurrent_scale(cell, in_width, hidden)
         s = np.float32(self.scale)
@@ -605,7 +620,7 @@ class LSTMCellStep(PlanStep):
 
     def __init__(self, cell: SlicedLSTMCell, rate: float, in_width: int):
         hidden = cell.partition.width_for(rate)
-        self.hidden = hidden
+        self.hidden = self.out_width = hidden
         self.in_width = in_width
         self.scale = _recurrent_scale(cell, in_width, hidden)
         s = np.float32(self.scale)
@@ -659,29 +674,31 @@ class GRUCellStep(PlanStep):
     """
 
     kind = "gru_cell"
+    _GATES = ("r", "z", "n")
 
     def __init__(self, cell: SlicedGRUCell, rate: float, in_width: int):
         hidden = cell.partition.width_for(rate)
-        self.hidden = hidden
+        self.hidden = self.out_width = hidden
         self.in_width = in_width
         self.scale = _recurrent_scale(cell, in_width, hidden)
         s = np.float32(self.scale)
+        # Unscaled (3h, ...) prefixes, gates packed r, z, n.
         self.weight_ih = _f32(np.concatenate([
-            cell.w_ih_r.data[:hidden, :in_width],
-            cell.w_ih_z.data[:hidden, :in_width],
-            cell.w_ih_n.data[:hidden, :in_width]]))
+            getattr(cell, f"w_ih_{g}").data[:hidden, :in_width]
+            for g in self._GATES]))
         self.weight_hh = _f32(np.concatenate([
-            cell.w_hh_r.data[:hidden, :hidden],
-            cell.w_hh_z.data[:hidden, :hidden]]))
+            getattr(cell, f"w_hh_{g}").data[:hidden, :hidden]
+            for g in self._GATES]))
         self.bias = _f32(np.concatenate([
-            cell.bias_r.data[:hidden], cell.bias_z.data[:hidden]]))
+            getattr(cell, f"bias_{g}").data[:hidden] for g in self._GATES]))
+        rz = slice(0, 2 * hidden)
         scaled_ih = self.weight_ih.copy()
-        scaled_ih[:2 * hidden] *= s
+        scaled_ih[rz] *= s
         self._wih_t = _f32(scaled_ih.T)          # (in_w, 3h): [s*r, s*z, n]
-        self._whh_rz_t = _f32((self.weight_hh * s).T)  # (h, 2h)
-        self._b_rz = _f32(self.bias * s)
-        self._whh_n_t = _f32(cell.w_hh_n.data[:hidden, :hidden].T)
-        self._b_n = _f32(cell.bias_n.data[:hidden])
+        self._whh_rz_t = _f32((self.weight_hh[rz] * s).T)  # (h, 2h)
+        self._b_rz = _f32(self.bias[rz] * s)
+        self._whh_n_t = _f32(self.weight_hh[2 * hidden:].T)
+        self._b_n = self.bias[2 * hidden:]
 
     def param_bytes(self) -> int:
         return (self._wih_t.nbytes + self._whh_rz_t.nbytes
@@ -733,24 +750,36 @@ def _recurrent_scale(cell, in_width: int, hidden: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# Layer compilation
+# Layer compilation: the one width rule of every layer
 # ----------------------------------------------------------------------
-def _linear_in_width(layer: SlicedLinear, rate: float) -> int:
-    if not layer.slice_input:
+_CELLS = (SlicedLSTMCell, SlicedGRUCell, SlicedRNNCell)
+#: Layers whose input side has a partition of its own.
+_INPUT_SLICED = (SlicedLinear, SlicedConv2d, *_CELLS)
+
+
+def _in_width(layer, rate: float) -> int:
+    """Input width of an input-sliced layer fed by an activation that was
+    sliced at ``rate`` (the full input width if its input is unsliced)."""
+    if layer.in_partition is not None:
+        return layer.in_partition.width_for(rate)
+    if isinstance(layer, SlicedLinear):
         return layer.in_features
-    return layer.in_partition.width_for(rate)
+    if isinstance(layer, SlicedConv2d):
+        return layer.in_channels
+    return layer.input_size
 
 
-def _linear_out_width(layer: SlicedLinear, rate: float) -> int:
-    if not layer.slice_output:
-        return layer.out_features
-    return layer.out_partition.width_for(rate)
-
-
-def _linear_scale(layer: SlicedLinear, in_width: int) -> float:
-    if layer.rescale and layer.slice_input and in_width != layer.in_features:
-        return layer.in_features / in_width
-    return 1.0
+def _linear_prefix(layer: SlicedLinear, rate: float, in_width: int | None
+                   ) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """``(weight, bias, scale)`` of a dense layer at ``rate``: its
+    ``Subnet-r`` prefix and the ``full_in / active_in`` rescale."""
+    in_w = in_width if in_width is not None else _in_width(layer, rate)
+    out_w = layer.out_partition.width_for(rate) if layer.slice_output \
+        else layer.out_features
+    bias = None if layer.bias is None else layer.bias.data[:out_w]
+    scale = layer.in_features / in_w if layer.rescale \
+        and layer.slice_input and in_w != layer.in_features else 1.0
+    return layer.weight.data[:out_w, :in_w], bias, scale
 
 
 def compile_layer(layer, rate, in_width: int | None = None,
@@ -760,10 +789,16 @@ def compile_layer(layer, rate, in_width: int | None = None,
     ``rate`` may be a scalar or a :class:`SliceProfile`; a profile is
     resolved to this layer's own rate via its ``slice_point`` name
     (containers like :class:`SlicedLSTM` resolve per child cell).
-    ``in_width`` overrides the input width the step is specialized for
-    (:func:`compile_plan` threads the actual upstream activation width;
-    standalone compilation derives it from the layer's own partition).
+    ``in_width`` is the width of the arriving activation
+    (:func:`compile_plan` and :func:`compile_leaves` thread it); without
+    it, input-sliced layers and group norms derive it from the rate, and
+    layer norms, positional tables and attention take their full width.
     ``relu`` fuses a trailing ReLU into steps that support it.
+
+    This is the only place a layer's active widths, weight prefixes and
+    rescale factor are worked out: compiled plans, resumable plans,
+    :func:`~repro.slicing.deploy.materialize_subnet` and the parameter
+    counts of :mod:`repro.metrics.flops` all read the step it returns.
     """
     profile = as_profile(rate)
     if isinstance(layer, SlicedLSTM):
@@ -776,27 +811,19 @@ def compile_layer(layer, rate, in_width: int | None = None,
         return LSTMStackStep(cell_steps)
     rate = validate_rate(profile.rate_for(getattr(layer, "slice_point", None)))
     if isinstance(layer, SlicedLinear):
-        in_w = in_width if in_width is not None else _linear_in_width(layer, rate)
-        out_w = _linear_out_width(layer, rate)
-        bias = None if layer.bias is None else layer.bias.data[:out_w]
-        return LinearStep(layer.weight.data[:out_w, :in_w], bias,
-                          scale=_linear_scale(layer, in_w), relu=relu)
+        weight, bias, scale = _linear_prefix(layer, rate, in_width)
+        return LinearStep(weight, bias, scale=scale, relu=relu)
     if isinstance(layer, SlicedConv2d):
-        in_w = in_width if in_width is not None else (
-            layer.in_partition.width_for(rate) if layer.slice_input
-            else layer.in_channels)
-        out_w = layer.active_out_channels(rate)
-        bias = None if layer.bias is None else layer.bias.data[:out_w]
-        step = ConvStep(layer.weight.data[:out_w, :in_w], bias,
-                        stride=layer.stride, padding=layer.padding)
         if relu:
             raise PlanError("ConvStep does not fuse ReLU")
-        return step
+        in_w = in_width if in_width is not None else _in_width(layer, rate)
+        out_w = layer.active_out_channels(rate)
+        bias = None if layer.bias is None else layer.bias.data[:out_w]
+        return ConvStep(layer.weight.data[:out_w, :in_w], bias,
+                        stride=layer.stride, padding=layer.padding)
     if isinstance(layer, SlicedGroupNorm):
         if in_width is None:
-            groups = max(1, min(round(rate * layer.num_groups),
-                                layer.num_groups))
-            in_width = groups * layer.group_size
+            in_width = snap_rate(rate, layer.num_groups) * layer.group_size
         if in_width % layer.group_size:
             raise PlanError(
                 f"active width {in_width} is not a multiple of the "
@@ -827,10 +854,31 @@ def compile_layer(layer, rate, in_width: int | None = None,
         return BatchNormStep(layer.weight.data, layer.bias.data,
                              layer.running_mean, layer.running_var,
                              layer.eps, relu=relu)
-    if isinstance(layer, (SlicedLSTMCell, SlicedGRUCell, SlicedRNNCell)):
+    if isinstance(layer, _CELLS):
         return _compile_cell(layer, rate, in_width)
     if isinstance(layer, Embedding):
         return EmbeddingStep(layer.weight.data[:, :layer.active_width(rate)])
+    if isinstance(layer, MultiHeadSelfAttention):
+        # Whole trailing heads drop; the QKV columns and output rows
+        # follow the arriving residual width.
+        inner = layer.active_heads(rate) * layer.head_dim
+        width = in_width if in_width is not None else (
+            layer.embed_partition.width_for(rate) if layer.sliceable
+            else layer.embed_dim)
+        return AttentionStep(
+            layer.qkv_weight.data[:3 * inner, :width],
+            layer.qkv_bias.data[:3 * inner],
+            layer.proj_weight.data[:width, :inner],
+            layer.proj_bias.data[:width],
+            layer.head_dim, layer.causal, layer.batch_first)
+    if isinstance(layer, LayerNorm):
+        width = in_width if in_width is not None else layer.num_features
+        return LayerNormStep(layer.weight.data[:width],
+                             layer.bias.data[:width], layer.eps)
+    if isinstance(layer, LearnedPositional):
+        width = in_width if in_width is not None else layer.embedding_dim
+        return PositionalStep(layer.weight.data[:, :width],
+                              batch_first=layer.batch_first)
     if isinstance(layer, Dropout):
         return IdentityStep()
     if isinstance(layer, MaxPool2d):
@@ -844,15 +892,66 @@ def compile_layer(layer, rate, in_width: int | None = None,
 
 def _compile_cell(cell, rate: float, in_width: int | None = None) -> PlanStep:
     if in_width is None:
-        in_width = cell.in_partition.width_for(rate) if cell.slice_input \
-            else cell.input_size
+        in_width = _in_width(cell, rate)
     if isinstance(cell, SlicedLSTMCell):
         return LSTMCellStep(cell, rate, in_width)
     if isinstance(cell, SlicedGRUCell):
         return GRUCellStep(cell, rate, in_width)
-    if isinstance(cell, SlicedRNNCell):
-        return RNNCellStep(cell, rate, in_width)
-    raise PlanError(f"no plan compiler for cell {type(cell).__name__}")
+    return RNNCellStep(cell, rate, in_width)
+
+
+#: Norms have no rate of their own: they run at their feeder's.
+_NORMS = (SlicedGroupNorm, SlicedBatchNorm2d, MultiBatchNorm2d, LayerNorm)
+#: The modules :func:`compile_leaves` compiles whole: every sliced layer
+#: and every plain layer whose width follows the arriving activation.
+_LEAVES = (*_INPUT_SLICED, *_NORMS, Embedding, MultiHeadSelfAttention,
+           LearnedPositional)
+
+
+def compile_leaves(model, rate) -> list[tuple[object, str, PlanStep]]:
+    """Compile every sliced leaf of ``model`` at ``rate``, in module order.
+
+    Returns one ``(parent, name, step)`` per leaf, the leaf being
+    ``parent._modules[name]``.  Unlike :func:`compile_plan` this needs no
+    family declaration, so it covers every model (``SlicedResNet``,
+    bare layers in a container).  Modules are walked in registration
+    order, which is dataflow order for the bundled models, threading
+    what arrives at each leaf:
+
+    * the rate of the last width-controlling layer (a sliced output or a
+      recurrent cell): input-sliced layers read their input width from
+      it, and norms run at it.  A rate rather than a width, because a
+      ResNet projection shortcut reads the block input, not the output
+      of the conv registered before it;
+    * the last emitted width, which norms, positional tables and
+      attention follow.
+    """
+    profile = as_profile(rate)
+    feeder = profile.rate_for(None)
+    width = None
+    leaves: list[tuple[object, str, PlanStep]] = []
+
+    def visit(module) -> None:
+        nonlocal feeder, width
+        for name, child in module._modules.items():
+            if not isinstance(child, _LEAVES):
+                visit(child)
+                continue
+            if isinstance(child, _NORMS):
+                step = compile_layer(child, feeder, in_width=width)
+            elif isinstance(child, _INPUT_SLICED):
+                step = compile_layer(child, profile,
+                                     in_width=_in_width(child, feeder))
+            else:
+                step = compile_layer(child, profile, in_width=width)
+            leaves.append((module, name, step))
+            if isinstance(child, _CELLS) \
+                    or getattr(child, "out_partition", None) is not None:
+                feeder = profile.rate_for(child.slice_point)
+            width = step.out_width or width
+
+    visit(model)
+    return leaves
 
 
 # ----------------------------------------------------------------------
@@ -863,67 +962,48 @@ def _compile_op(op: Op, profile: SliceProfile, width: int | None
     """The step for one declared op; ``width`` is the arriving feature
     width (None for the model input, which is never sliced)."""
     layer = op.layer
-    if op.kind in ("linear", "conv", "pool", "embedding", "lstm"):
-        return compile_layer(layer, profile, in_width=width, relu=op.relu)
     if op.kind == "norm":
         return compile_layer(layer, profile.rate_for(op.source.slice_point),
                              in_width=width, relu=op.relu)
     if op.kind == "dense":
-        out = _linear_out_width(layer, profile.rate_for(layer.slice_point))
-        width = layer.in_features if width is None else width
-        return DenseStep(layer.weight.data[:out, :width],
-                         layer.bias.data[:out], relu=op.relu)
-    if op.kind == "positional":
-        return PositionalStep(layer.weight.data[:, :width],
-                              batch_first=layer.batch_first)
+        return _dense_step(layer, profile, width, relu=op.relu)
     if op.kind == "attention":
-        return _attention_step(layer, profile, width)
+        return AttentionBlockStep(
+            compile_layer(layer.ln1, profile, in_width=width),
+            compile_layer(layer.attn, profile, in_width=width))
     if op.kind == "ffn":
         return _ffn_step(layer, profile, width)
-    if op.kind == "layernorm":
-        return LayerNormStep(layer.weight.data[:width],
-                             layer.bias.data[:width], layer.eps)
     if op.kind == "mean_pool":
         return MeanPoolStep(axis=1)
     if op.kind == "global_pool":
         return GlobalAvgPoolStep()
     if op.kind == "log_softmax":
         return LogSoftmaxStep()
+    if op.kind in ("linear", "conv", "pool", "embedding", "lstm",
+                   "positional", "layernorm"):
+        return compile_layer(layer, profile, in_width=width, relu=op.relu)
     raise PlanError(f"no plan step for op kind {op.kind!r}")
 
 
-def _attention_step(block, profile: SliceProfile, width: int
-                    ) -> AttentionBlockStep:
-    """The attention half of a pre-norm block at the residual ``width``."""
-    attn = block.attn
-    heads = attn.active_heads(profile.rate_for(attn.slice_point))
-    inner = heads * attn.head_dim
-    rows = 3 * inner
-    return AttentionBlockStep(
-        block.ln1.weight.data[:width], block.ln1.bias.data[:width],
-        block.ln1.eps,
-        attn.qkv_weight.data[:rows, :width], attn.qkv_bias.data[:rows],
-        attn.proj_weight.data[:width, :inner], attn.proj_bias.data[:width],
-        attn.head_dim, attn.causal, attn.batch_first,
-    )
+def _dense_step(layer: SlicedLinear, profile: SliceProfile,
+                width: int | None, relu: bool = False) -> DenseStep:
+    """A transformer dense layer: the linear prefix rule, never rescaled."""
+    weight, bias, _ = _linear_prefix(
+        layer, profile.rate_for(layer.slice_point), width)
+    return DenseStep(weight, bias, relu=relu)
 
 
 def _ffn_step(block, profile: SliceProfile, width: int) -> FFNBlockStep:
     """The FFN half of a pre-norm block at the residual ``width``."""
-    ffn = block.fc1.out_partition.width_for(
-        profile.rate_for(block.fc1.slice_point))
-    fc2_out = block.fc2.out_partition.width_for(
-        profile.rate_for(block.fc2.slice_point))
-    if fc2_out != width:
+    fc1 = _dense_step(block.fc1, profile, width)
+    fc2 = _dense_step(block.fc2, profile, fc1.out_width)
+    if fc2.out_width != width:
         raise PlanError(
-            f"profile gives fc2 width {fc2_out} but the residual stream is "
-            f"{width} wide; fc2 must stay at the default (residual) rate")
-    return FFNBlockStep(
-        block.ln2.weight.data[:width], block.ln2.bias.data[:width],
-        block.ln2.eps,
-        block.fc1.weight.data[:ffn, :width], block.fc1.bias.data[:ffn],
-        block.fc2.weight.data[:width, :ffn], block.fc2.bias.data[:width],
-    )
+            f"profile gives fc2 width {fc2.out_width} but the residual "
+            f"stream is {width} wide; fc2 must stay at the default "
+            f"(residual) rate")
+    return FFNBlockStep(compile_layer(block.ln2, profile, in_width=width),
+                        fc1, fc2)
 
 
 def _call(step: PlanStep, x: np.ndarray) -> np.ndarray:

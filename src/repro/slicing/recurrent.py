@@ -26,8 +26,6 @@ def _zero_state(batch: int, width: int) -> Tensor:
 class _SlicedRecurrentBase(Module):
     """Shared plumbing for sliced recurrent cells."""
 
-    _num_gates = 1
-
     def __init__(self, input_size: int, hidden_size: int,
                  slice_input: bool, rescale: bool, num_groups: int):
         super().__init__()
@@ -42,14 +40,6 @@ class _SlicedRecurrentBase(Module):
             input_size, min(num_groups, input_size)
         ) if slice_input else None
         self.slice_point = auto_slice_point(self)
-
-    def active_param_count(self, rate: float) -> int:
-        """Parameters resident in memory when deployed at ``rate``."""
-        hidden = self.partition.width_for(rate)
-        in_w = self.in_partition.width_for(rate) if self.slice_input \
-            else self.input_size
-        per_gate = hidden * in_w + hidden * hidden + hidden
-        return self._num_gates * per_gate
 
     def active_hidden(self, rate: float | None = None) -> int:
         """Hidden width active at ``rate`` (current rate if omitted)."""
@@ -106,8 +96,6 @@ class SlicedRNNCell(_SlicedRecurrentBase):
 class SlicedLSTMCell(_SlicedRecurrentBase):
     """LSTM cell whose gates, hidden and memory states are all sliced."""
 
-    _num_gates = 4
-
     def __init__(self, input_size: int, hidden_size: int,
                  slice_input: bool = True, rescale: bool = False,
                  num_groups: int = DEFAULT_GROUPS,
@@ -162,8 +150,6 @@ class SlicedLSTMCell(_SlicedRecurrentBase):
 
 class SlicedGRUCell(_SlicedRecurrentBase):
     """GRU cell with sliced gates and hidden state."""
-
-    _num_gates = 3
 
     def __init__(self, input_size: int, hidden_size: int,
                  slice_input: bool = True, rescale: bool = False,

@@ -78,7 +78,7 @@ import math
 
 import numpy as np
 
-from ..errors import PlanError, SliceRateError
+from ..errors import ConfigError, PlanError, SliceRateError
 from ..nn.attention import causal_mask, softmax_eval
 from ..nn.norm import layer_norm_eval
 from .families import Op, family_of
@@ -98,6 +98,7 @@ from .profile import SliceProfile, as_profile, named_slice_points
 
 __all__ = [
     "ResumablePlan",
+    "anytime_predict",
     "pointwise_nested",
     "scratch_madds",
 ]
@@ -879,3 +880,37 @@ def scratch_madds(model, profile, batch: int = 1,
     plan = ResumablePlan(model, profile)
     plan.run(np.zeros((1,) + tuple(row_shape), dtype=np.float32))
     return batch * plan.scratch_madds
+
+
+def anytime_predict(model, rates, inputs,
+                    budget_madds: int | None = None) -> list[dict]:
+    """Anytime prediction (paper Secs. 1 and 3.5): answer now, then refine.
+
+    Runs one approximate-mode :class:`ResumablePlan` at the narrowest of
+    ``rates`` and widens it to each wider rate in turn, so every
+    refinement reuses the narrow pass's base-block products (the paper's
+    ``y~a ~= ya``).  Refinement stops before the step that would push the
+    plan's measured multiply-adds past ``budget_madds``; the base step
+    always runs.
+
+    Returns one ``{"rate", "logits", "step_madds", "cumulative_madds"}``
+    dict per executed rate; the last one's ``logits`` is the best
+    available answer.
+    """
+    rates = sorted(float(r) for r in rates)
+    if not rates:
+        raise ConfigError("need at least one refinement rate")
+    plan = ResumablePlan(model, rates[0], exact=False)
+    logits = plan.run(inputs)
+    steps = [{"rate": rates[0], "logits": logits,
+              "step_madds": plan.spent_madds,
+              "cumulative_madds": plan.spent_madds}]
+    for rate in rates[1:]:
+        before = plan.spent_madds
+        logits = plan.widen(rate)
+        if budget_madds is not None and plan.spent_madds > budget_madds:
+            break
+        steps.append({"rate": rate, "logits": logits,
+                      "step_madds": plan.spent_madds - before,
+                      "cumulative_madds": plan.spent_madds})
+    return steps

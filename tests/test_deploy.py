@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.metrics import active_params
 from repro.models import MLP, NNLM, SlicedResNet, SlicedVGG
-from repro.slicing import materialize_subnet, slice_rate
+from repro.slicing import compile_plan, materialize_subnet, slice_rate
 from repro.tensor import Tensor, no_grad
 
 
@@ -25,7 +26,6 @@ class TestMaterializeMLP:
         np.testing.assert_allclose(actual, expected, rtol=1e-4, atol=1e-5)
 
     def test_deployed_params_match_active_count(self):
-        from repro.metrics import active_params
         model = MLP(10, [16, 16], 4, seed=0)
         deployed = materialize_subnet(model, 0.25)
         assert deployed.num_parameters() == active_params(model, 0.25)
@@ -90,6 +90,9 @@ class TestMaterializeVGG:
                                      norm="batch")
         with pytest.raises(ConfigError):
             materialize_subnet(model, 0.5)
+        # Not deployable, but its subnets still have a size.
+        assert active_params(model, 0.5) == \
+            compile_plan(model, 0.5).param_bytes() // 4
 
 
 class TestMaterializeResNet:
@@ -97,14 +100,17 @@ class TestMaterializeResNet:
         model = SlicedResNet.cifar_mini(num_classes=4, blocks=1,
                                         base_channels=8, seed=0)
         model.eval()
-        deployed = materialize_subnet(model, 0.5)
-        deployed.eval()
         x = Tensor(images(rng, size=8))
-        with no_grad():
-            with slice_rate(0.5):
-                expected = model(x).data
-            actual = deployed(x).data
-        np.testing.assert_allclose(actual, expected, rtol=1e-3, atol=1e-4)
+        for rate in (0.25, 0.5, 0.75, 1.0):
+            deployed = materialize_subnet(model, rate)
+            deployed.eval()
+            with no_grad():
+                with slice_rate(rate):
+                    expected = model(x).data
+                actual = deployed(x).data
+            np.testing.assert_allclose(actual, expected, rtol=1e-3,
+                                       atol=1e-4, err_msg=f"rate {rate}")
+            assert deployed.num_parameters() == active_params(model, rate)
 
 
 class TestMaterializeNNLM:
@@ -123,8 +129,8 @@ class TestMaterializeNNLM:
 
 class TestRateEquivalenceAfterTraining:
     """materialize_subnet must agree with the sliced forward at *every*
-    trained rate — this guards the group-count arithmetic in
-    ``_groupnorm_from`` against ``Partition.width_for`` drift."""
+    trained rate — this guards the group-norm width rule of
+    ``compile_layer`` against ``Partition.width_for`` drift."""
 
     RATES = [0.25, 0.5, 0.75, 1.0]
 

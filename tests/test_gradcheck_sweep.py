@@ -186,7 +186,7 @@ def _layernorm_cases(count=15):
 def test_layer_norm_gradients(index, features, groups, rate):
     """The analytic LayerNorm backward, at every arriving slice width."""
     rng = _case_rng(index, 4)
-    layer = LayerNorm(features, num_groups=groups)
+    layer = LayerNorm(features)
     # Randomized affine parameters, as in the groupnorm sweep: the
     # default gamma=1 / beta=0 would leave scale paths untested.
     layer.weight.data = rng.normal(size=features)

@@ -18,7 +18,9 @@ import pytest
 
 from repro import obs
 from repro.errors import PlanError
-from repro.models import MLP, NNLM, SlicedVGG
+from repro.metrics import active_params
+from repro.models import (MLP, NNLM, SlicedVGG, TransformerEncoder,
+                          TransformerLM)
 from repro.nn.module import Module, Parameter
 from repro.optim import SGD
 from repro.slicing import (
@@ -51,8 +53,8 @@ class _Wrap(Module):
         super().__init__()
         self.layer = layer
 
-    def forward(self, x):
-        return self.layer(x)
+    def forward(self, x, *state):
+        return self.layer(x, *state)
 
 
 def _as_arrays(out):
@@ -66,20 +68,50 @@ def _arg(x):
     return arr if arr.dtype.kind in "iu" else Tensor(x)
 
 
-def _sliced(layer, x, rate):
+def _tensors(state):
+    """A recurrent state (array or tuple of arrays) as Tensor arguments."""
+    if isinstance(state, tuple):
+        return (tuple(Tensor(s) for s in state),)
+    return (Tensor(state),)
+
+
+def _sliced(layer, x, rate, *state):
     """The reference leg: uncompiled sliced forward at ``rate``."""
     with no_grad(), slice_rate(rate):
-        out = layer(_arg(x))
+        out = layer(_arg(x), *state)
     return _as_arrays(out)
 
 
-def _materialized(layer, x, rate):
+def _materialized(layer, x, rate, *state):
     """The deployment leg: standalone subnet from materialize_subnet."""
     deployed = materialize_subnet(_Wrap(layer), rate)
     deployed.eval()
     with no_grad():
-        out = deployed(_arg(x))
+        out = deployed(_arg(x), *state)
     return _as_arrays(out)
+
+
+def _states(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _assert_cell_three_way(cell, rng):
+    """Plan, sliced and deployed cells agree from a nonzero state."""
+    for rate in RATES_G4:
+        in_w = cell.in_partition.width_for(rate)
+        hidden = cell.partition.width_for(rate)
+        x = rng.normal(size=(4, in_w)).astype(np.float32)
+        state = rng.normal(size=(4, hidden)).astype(np.float32)
+        if isinstance(cell, SlicedLSTMCell):  # (h, c) state tuples
+            state = (state, rng.normal(size=(4, hidden)).astype(np.float32))
+        plan_out = compile_layer(cell, rate)(x, state)
+        for leg, out in (("sliced", _sliced(cell, x, rate, *_tensors(state))),
+                         ("deployed", _materialized(cell, x, rate,
+                                                    *_tensors(state)))):
+            for got, want in zip(_states(plan_out), _states(out)):
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-4, atol=1e-5,
+                    err_msg=f"plan vs {leg} at {rate}")
 
 
 # ----------------------------------------------------------------------
@@ -168,48 +200,15 @@ class TestLayerEquivalence:
     @pytest.mark.parametrize("cell_cls", [SlicedLSTMCell, SlicedGRUCell,
                                           SlicedRNNCell])
     def test_recurrent_cell_three_way(self, rng, cell_cls):
-        # rescale=False (the default) so all three legs agree: the GRU's
-        # deployed form bakes the rescale into the candidate gate while
-        # the sliced forward leaves the candidate unscaled.
         cell = cell_cls(8, 8, num_groups=4, rng=np.random.default_rng(0))
-        for rate in RATES_G4:
-            in_w = cell.in_partition.width_for(rate)
-            x = rng.normal(size=(4, in_w)).astype(np.float32)
-            step = compile_layer(cell, rate)
-            plan_out = step(x)
-            sliced = _sliced(cell, x, rate)
-            deployed = _materialized(cell, x, rate)
-            if cell_cls is SlicedLSTMCell:  # (h, c) state tuples
-                for got, want in ((plan_out[0], sliced[0]),
-                                  (plan_out[1], sliced[1]),
-                                  (plan_out[0], deployed[0]),
-                                  (plan_out[1], deployed[1])):
-                    np.testing.assert_allclose(got, want,
-                                               rtol=1e-4, atol=1e-5)
-            else:
-                np.testing.assert_allclose(plan_out, sliced,
-                                           rtol=1e-4, atol=1e-5)
-                np.testing.assert_allclose(plan_out, deployed,
-                                           rtol=1e-4, atol=1e-5)
+        _assert_cell_three_way(cell, rng)
 
     @pytest.mark.parametrize("cell_cls", [SlicedLSTMCell, SlicedGRUCell,
                                           SlicedRNNCell])
     def test_recurrent_cell_rescaled_matches_sliced(self, rng, cell_cls):
         cell = cell_cls(8, 8, rescale=True, num_groups=4,
                         rng=np.random.default_rng(1))
-        for rate in RATES_G4:
-            in_w = cell.in_partition.width_for(rate)
-            x = rng.normal(size=(4, in_w)).astype(np.float32)
-            plan_out = compile_layer(cell, rate)(x)
-            sliced = _sliced(cell, x, rate)
-            if cell_cls is SlicedLSTMCell:
-                np.testing.assert_allclose(plan_out[0], sliced[0],
-                                           rtol=1e-4, atol=1e-5)
-                np.testing.assert_allclose(plan_out[1], sliced[1],
-                                           rtol=1e-4, atol=1e-5)
-            else:
-                np.testing.assert_allclose(plan_out, sliced,
-                                           rtol=1e-4, atol=1e-5)
+        _assert_cell_three_way(cell, rng)
 
     def test_unknown_layer_rejected(self):
         with pytest.raises(PlanError):
@@ -236,6 +235,9 @@ class TestModelEquivalence:
                                        err_msg=f"plan vs sliced at {rate}")
             np.testing.assert_allclose(plan_out, mat_out, rtol=rtol, atol=atol,
                                        err_msg=f"plan vs deployed at {rate}")
+            # One size everywhere: the count, the artifact and the plan.
+            assert active_params(model, rate) == deployed.num_parameters() \
+                == plan.param_bytes() // 4
 
     def test_mlp(self, rng):
         model = MLP(12, [16, 16], 6, num_groups=4, seed=0)
@@ -260,6 +262,21 @@ class TestModelEquivalence:
                     size=(4, 3, 8, 8)).astype(np.float32)))
         x = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
         self._assert_three_way(model, x, rates)
+        with pytest.raises(PlanError):  # no BN branch for this rate
+            materialize_subnet(model, 0.75)
+
+    def test_transformer_encoder(self, rng):
+        model = TransformerEncoder(image_size=8, patch_size=4, channels=3,
+                                   num_classes=5, embed_dim=32, num_heads=4,
+                                   ffn_dim=64, depth=2, seed=3)
+        x = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
+        self._assert_three_way(model, x, RATES_G4)
+
+    def test_transformer_lm(self, rng):
+        model = TransformerLM(61, embed_dim=32, num_heads=4, ffn_dim=64,
+                              depth=2, max_seq=16, seed=5)
+        tokens = rng.integers(0, 61, size=(10, 3))
+        self._assert_three_way(model, tokens, RATES_G4)
 
     def test_nnlm(self, rng):
         model = NNLM(vocab_size=20, embed_dim=8, hidden_size=8,
@@ -588,26 +605,26 @@ class TestFallbackPlan:
 # Integrations: runtime replicas, latency metrics, serving, anytime
 # ----------------------------------------------------------------------
 class TestIntegrations:
-    def _replica(self, model, use_plans, cache=None):
+    def _replica(self, model, cache):
         from repro.runtime import LatencyProfile, Replica
         return Replica("r0", LatencyProfile(full_per_sample=1e-4),
-                       model=model, use_plans=use_plans, plan_cache=cache)
+                       model=model, plan_cache=cache)
 
     def test_replica_plan_predictions_match_sliced(self, rng):
         model = MLP(12, [16], 4, num_groups=4, seed=0)
         x = rng.normal(size=(10, 12)).astype(np.float32)
         cache = PlanCache()
-        planned = self._replica(model, True, cache)
-        unplanned = self._replica(model, False)
+        replica = self._replica(model, cache)
         for rate in RATES_G4:
-            np.testing.assert_array_equal(planned.predict(x, rate),
-                                          unplanned.predict(x, rate))
+            np.testing.assert_array_equal(
+                replica.predict(x, rate),
+                _sliced(model, x, rate).argmax(axis=-1))
         assert cache.misses == len(RATES_G4)
 
     def test_replica_warm_plans(self):
         model = MLP(12, [16], 4, num_groups=4, seed=0)
         cache = PlanCache()
-        replica = self._replica(model, True, cache)
+        replica = self._replica(model, cache)
         assert replica.warm_plans([0.25, 0.5]) == 2
         assert cache.misses == 2
         replica.predict(np.zeros((2, 12), dtype=np.float32), 0.5)
@@ -637,14 +654,13 @@ class TestIntegrations:
             assert table[rate] == pytest.approx(expected)
 
     def test_anytime_follows_parameter_mutation(self, rng):
-        from repro.anytime import AnytimeMLP
-        from repro.slicing import ResumablePlan
+        from repro.slicing import ResumablePlan, anytime_predict
         model = MLP(12, [16, 16], 4, num_groups=4, seed=0)
-        engine = AnytimeMLP(model, [0.25, 0.5, 1.0])
+        rates = [0.25, 0.5, 1.0]
         x = rng.normal(size=(5, 12)).astype(np.float32)
-        before = engine.run(x)[-1].logits
+        before = anytime_predict(model, rates, x)[-1]["logits"]
         model.head.weight.data *= 1.1
-        final = engine.run(x)[-1].logits
+        final = anytime_predict(model, rates, x)[-1]["logits"]
         plan = ResumablePlan(model, 0.25, exact=False)
         plan.run(x)
         plan.widen(0.5)

@@ -28,7 +28,9 @@ from repro import obs
 from repro.cli import build_parser, main
 from repro.errors import BudgetError, ServingError, SliceRateError
 from repro.metrics.flops import active_params, measured_flops
-from repro.models import MLP, NNLM, SlicedVGG
+from repro.models import (MLP, NNLM, SlicedVGG, TransformerEncoder,
+                          TransformerLM)
+from repro.models.transformer import head_ffn_profile
 from repro.optim import SGD
 from repro.runtime.replica import LatencyProfile, Replica
 from repro.serving import (
@@ -337,6 +339,14 @@ NNLM_PROFILES = [
     LayerProfile({"lstm.cell0": 1.0, "lstm.cell1": 0.25}),
     LayerProfile({"lstm.cell0": 0.75, "lstm.cell1": 0.5}),
 ]
+# Each multi-BN norm must run at its conv's rate, one it has a branch for.
+MULTI_BN_PROFILES = [
+    LayerProfile({"conv0": 0.5, "norm0": 0.5, "conv2": 0.5, "norm2": 0.5}),
+    LayerProfile({"conv1": 0.5, "norm1": 0.5, "conv3": 0.5, "norm3": 0.5}),
+]
+# (head rate, FFN rate, residual rate): a residual rate below 1 slices
+# the positional table.
+TRANSFORMER_PROFILES = [(0.5, 1.0, 0.5), (1.0, 0.25, 0.75), (0.75, 0.5, 1.0)]
 
 
 class TestNonUniformDifferential:
@@ -355,6 +365,9 @@ class TestNonUniformDifferential:
             deployed_out = deployed(_arg(x)).data
         np.testing.assert_allclose(deployed_out, live, rtol=rtol, atol=atol,
                                    err_msg=f"deployed vs live {profile}")
+        # One size everywhere: the count, the artifact and the plan.
+        assert active_params(model, profile) == deployed.num_parameters() \
+            == plan.param_bytes() // 4
 
     @pytest.mark.parametrize("profile", MLP_PROFILES, ids=str)
     def test_mlp(self, rng, profile):
@@ -376,6 +389,35 @@ class TestNonUniformDifferential:
         tokens = rng.integers(0, 20, size=(5, 3))
         self._assert_three_way(model, tokens, profile,
                                rtol=1e-3, atol=1e-4)
+
+    @pytest.mark.parametrize("profile", MULTI_BN_PROFILES, ids=str)
+    def test_vgg_multi_bn(self, rng, profile):
+        rates = [0.5, 1.0]
+        model = SlicedVGG.cifar_mini(num_classes=4, width=8, stages=2,
+                                     num_groups=4, norm="multi_bn",
+                                     rates=rates, seed=0)
+        model.train()
+        for rate in rates:  # populate per-rate running statistics
+            with slice_rate(rate):
+                model(Tensor(rng.normal(
+                    size=(4, 3, 8, 8)).astype(np.float32)))
+        x = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
+        self._assert_three_way(model, x, profile)
+
+    @pytest.mark.parametrize("rates", TRANSFORMER_PROFILES, ids=str)
+    def test_tenc(self, rng, rates):
+        model = TransformerEncoder(image_size=8, patch_size=4, channels=3,
+                                   num_classes=5, embed_dim=32, num_heads=4,
+                                   ffn_dim=64, depth=2, seed=3)
+        x = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
+        self._assert_three_way(model, x, head_ffn_profile(model, *rates))
+
+    @pytest.mark.parametrize("rates", TRANSFORMER_PROFILES, ids=str)
+    def test_tlm(self, rng, rates):
+        model = TransformerLM(61, embed_dim=32, num_heads=4, ffn_dim=64,
+                              depth=2, max_seq=16, seed=5)
+        tokens = rng.integers(0, 61, size=(10, 3))
+        self._assert_three_way(model, tokens, head_ffn_profile(model, *rates))
 
 
 # ----------------------------------------------------------------------
@@ -686,12 +728,12 @@ class TestLatencyProfileWithProfiles:
         np.testing.assert_array_equal(predictions, expected)
         assert cache.profile_keys() == 2
 
-    def test_replica_sliced_fallback_matches_live(self, rng):
+    def test_replica_matches_live(self, rng):
         model = MLP(12, [16, 16], 6, num_groups=4, seed=0)
         model.eval()
         profile = LayerProfile({"fc0": 0.25, "fc1": 0.75})
         replica = Replica("r0", LatencyProfile(full_per_sample=0.001),
-                          model=model, use_plans=False)
+                          model=model, plan_cache=PlanCache())
         x = rng.normal(size=(4, 12)).astype(np.float32)
         live = _forward(model, x, slice_profile(profile))
         np.testing.assert_array_equal(replica.predict(x, profile),

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.ranking import CascadeSimulation, CascadeStage
+from repro.ranking import CascadeSimulation, RankingStage
 
 
 def constant_stage(name, predictions, params=10, flops=100):
-    return CascadeStage(name=name,
+    return RankingStage(name=name,
                         predict=lambda inputs: np.asarray(predictions),
                         params=params, flops=flops)
 
@@ -60,7 +60,7 @@ class TestCascadeSimulation:
             CascadeSimulation([])
 
     def test_bad_prediction_shape_rejected(self):
-        stage = CascadeStage("bad", lambda x: np.zeros((2, 2)), 1, 1)
+        stage = RankingStage("bad", lambda x: np.zeros((2, 2)), 1, 1)
         with pytest.raises(ConfigError):
             CascadeSimulation([stage]).run(np.zeros((5, 1)), self.LABELS)
 

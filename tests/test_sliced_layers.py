@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ShapeError
+from repro.metrics import active_params
+from repro.nn import Sequential
 from repro.slicing import (
     MultiBatchNorm2d,
     SlicedBatchNorm2d,
@@ -65,9 +67,9 @@ class TestSlicedLinear:
         np.testing.assert_allclose(out.data, 8.0)
 
     def test_active_param_count_quadratic(self, rng):
-        layer = SlicedLinear(16, 16, rng=rng)
-        full = layer.active_param_count(1.0)
-        half = layer.active_param_count(0.5)
+        model = Sequential(SlicedLinear(16, 16, rng=rng))
+        full = active_params(model, 1.0)
+        half = active_params(model, 0.5)
         assert full == 16 * 16 + 16
         assert half == 8 * 8 + 8
 
@@ -108,9 +110,9 @@ class TestSlicedConv2d:
             layer(tensor(rng, 1, 2, 4, 4))
 
     def test_param_count_quadratic_scaling(self, rng):
-        layer = SlicedConv2d(16, 16, 3, bias=False, rng=rng)
-        assert layer.active_param_count(0.5) == 8 * 8 * 9
-        assert layer.active_param_count(1.0) == 16 * 16 * 9
+        model = Sequential(SlicedConv2d(16, 16, 3, bias=False, rng=rng))
+        assert active_params(model, 0.5) == 8 * 8 * 9
+        assert active_params(model, 1.0) == 16 * 16 * 9
 
 
 class TestSlicedGroupNorm:
@@ -159,9 +161,9 @@ class TestSlicedGroupNorm:
         np.testing.assert_allclose(gn.group_scale_means(), 1.0)
 
     def test_active_param_count(self):
-        gn = SlicedGroupNorm(8, num_groups=4)
-        assert gn.active_param_count(1.0) == 16
-        assert gn.active_param_count(0.5) == 8
+        model = Sequential(SlicedGroupNorm(8, num_groups=4))
+        assert active_params(model, 1.0) == 16
+        assert active_params(model, 0.5) == 8
 
 
 class TestSlicedBatchNorm:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
+from repro.metrics import active_params
+from repro.nn import Sequential
 from repro.slicing import (
     SlicedGRUCell,
     SlicedLSTM,
@@ -37,9 +39,9 @@ class TestSlicedRNNCell:
             cell(tensor(rng, 2, 4))
 
     def test_param_count(self, rng):
-        cell = SlicedRNNCell(8, 16, slice_input=False, rng=rng)
-        assert cell.active_param_count(1.0) == 16 * 8 + 16 * 16 + 16
-        assert cell.active_param_count(0.5) == 8 * 8 + 8 * 8 + 8
+        model = Sequential(SlicedRNNCell(8, 16, slice_input=False, rng=rng))
+        assert active_params(model, 1.0) == 16 * 8 + 16 * 16 + 16
+        assert active_params(model, 0.5) == 8 * 8 + 8 * 8 + 8
 
 
 class TestSlicedLSTMCell:
@@ -71,8 +73,8 @@ class TestSlicedLSTMCell:
         np.testing.assert_allclose(cell.bias_i.data, 0.0)
 
     def test_param_count_gates(self, rng):
-        cell = SlicedLSTMCell(8, 8, slice_input=False, rng=rng)
-        assert cell.active_param_count(1.0) == 4 * (8 * 8 + 8 * 8 + 8)
+        model = Sequential(SlicedLSTMCell(8, 8, slice_input=False, rng=rng))
+        assert active_params(model, 1.0) == 4 * (8 * 8 + 8 * 8 + 8)
 
     def test_rescale_keeps_preactivation_scale(self, rng):
         cell = SlicedLSTMCell(8, 32, slice_input=False, rescale=True, rng=rng)
@@ -92,8 +94,8 @@ class TestSlicedGRUCell:
             assert cell(tensor(rng, 2, 8)).shape == (2, 8)
 
     def test_param_count_gates(self, rng):
-        cell = SlicedGRUCell(8, 8, slice_input=False, rng=rng)
-        assert cell.active_param_count(1.0) == 3 * (8 * 8 + 8 * 8 + 8)
+        model = Sequential(SlicedGRUCell(8, 8, slice_input=False, rng=rng))
+        assert active_params(model, 1.0) == 3 * (8 * 8 + 8 * 8 + 8)
 
 
 class TestSlicedLSTMStack:
