@@ -159,8 +159,7 @@ def test_cascade_beats_fixed_profiles(emit, bench_path):
             "madds_per_request": scratch_madds(model, rate),
         }
 
-    incremental = CascadeExecutor(model, _stages(), exact=True,
-                                  incremental=True)
+    incremental = CascadeExecutor(model, _stages(), incremental=True)
     result = incremental.run_batch(inputs)
     recompute_predictions, recompute_spent = _canonical_recompute(
         model, inputs)

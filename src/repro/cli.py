@@ -387,8 +387,7 @@ def _cmd_runtime_cascade(args) -> int:
     # madds-priced simulated clock shows the reuse.  Transformer plans do
     # not support row subsetting (attention couples the batch axis), so
     # their escalated rows recompute on cached compiled plans.
-    executor = CascadeExecutor(model, stages, exact=True,
-                               incremental=args.model != "tenc")
+    executor = CascadeExecutor(model, stages, incremental=args.model != "tenc")
     cost = {rate: full_latency * rate * rate for rate in rates}
     # High-margin exits at a cheap stage are far more accurate than the
     # stage's marginal accuracy: calibrate the cascade's per-stage exit

@@ -4,8 +4,8 @@ A batch closes as soon as either ``max_batch_size`` requests are waiting
 or the head of the queue has waited ``timeout`` seconds (``timeout=0``
 batches whatever is queued the moment a replica frees up).  The slice
 rate is chosen *per batch* by a controller from :mod:`repro.serving` —
-the paper's elastic rule ``n * r**2 * t <= T/2`` via
-:func:`repro.slicing.budget.rate_for_latency`, or a fixed-rate baseline.
+the paper's elastic rule ``n * cost(r) <= T/2`` over the controller's
+cost table, or a fixed-rate baseline.
 
 Retry-with-downgrade hooks in here: any request carrying a ``rate_cap``
 (set after a failed attempt) caps the whole batch's rate, so a retried
@@ -83,10 +83,10 @@ class DynamicBatcher:
 
         Returns ``(batch, expired)``.  If the controller cannot serve the
         full candidate batch within the SLO (``choose`` returns None),
-        the batch shrinks to the controller's capacity at its most
-        degraded rate and the leftovers return to the queue — continuous
-        time turns overload into queueing delay, and the per-request
-        deadlines turn sustained overload into expirations.
+        the batch shrinks to the controller's capacity at its ``floor``
+        (cheapest candidate) and the leftovers return to the queue —
+        continuous time turns overload into queueing delay, and the
+        per-request deadlines turn sustained overload into expirations.
         """
         taken, expired = queue.pop(self.max_batch_size, now)
         if not taken:
@@ -113,10 +113,8 @@ class DynamicBatcher:
 
     # -- internals ------------------------------------------------------
     def _floor_capacity(self) -> int:
-        """Largest batch the controller can serve at its narrowest rate."""
-        rates = getattr(self.controller, "rates", None)
-        floor = min(rates) if rates else getattr(self.controller, "rate")
-        return max(int(self.controller.max_batch(floor)), 1)
+        """Largest batch the controller can serve at its cheapest candidate."""
+        return max(self.controller.max_batch(self.controller.floor), 1)
 
     def _apply_caps(self, requests: list[RequestTrace], rate: float) -> float:
         """Clamp the batch rate to the tightest retry downgrade cap."""
@@ -126,7 +124,5 @@ class DynamicBatcher:
         cap = min(caps)
         if _leq(rate, cap):
             return rate
-        candidates = getattr(self.controller, "rates", None) \
-            or [getattr(self.controller, "rate")]
-        feasible = [r for r in candidates if _leq(r, cap)]
-        return max(feasible) if feasible else min(candidates)
+        feasible = [r for r in self.controller.rates if _leq(r, cap)]
+        return max(feasible) if feasible else self.controller.floor

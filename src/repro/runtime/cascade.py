@@ -15,9 +15,9 @@ escalate to the next wider stage.  Two escalation modes share one loop:
   :class:`~repro.slicing.resume.ResumablePlan`, so the escalated rows
   :meth:`~repro.slicing.resume.ResumablePlan.subset` out their retained
   intermediates and :meth:`~repro.slicing.resume.ResumablePlan.widen`
-  to the next profile, paying only the widening cross-terms.  In exact
-  mode the widened logits are bitwise what a from-scratch resumable
-  pass at the wider profile would produce.
+  to the next profile, paying only the widening cross-terms.  Widening
+  runs in exact mode, so the widened logits are bitwise what a
+  from-scratch resumable pass at the wider profile would produce.
 
 :class:`CascadeExecutor` is the deterministic, clock-free core the
 runtime engine calls at dispatch time; :class:`CascadeResult` carries
@@ -137,22 +137,18 @@ class CascadeExecutor:
         Cheapest-first :class:`CascadeStage` rungs; each stage's profile
         must be pointwise-nested inside the next (Eq. 2), and only the
         terminal stage may omit its threshold.
-    exact:
-        Widening mode of the incremental path.  ``True`` (default) keeps
-        escalated predictions bitwise equal to a from-scratch resumable
-        pass at the reached profile; ``False`` uses the paper's
-        approximate cross-term reuse.  The recompute path ignores it.
     incremental:
         ``True`` escalates by resuming the narrow pass (``subset`` then
-        ``widen``, Sec. 3.5) on the canonical GEMM: the exact,
-        multiply-add-saving oracle (row subsetting rules out sequence
-        and transformer models).  ``False`` (default) recomputes the
+        ``widen``, Sec. 3.5) on the canonical GEMM in exact mode: the
+        multiply-add-saving oracle, bitwise equal to a from-scratch
+        resumable pass at the reached profile (row subsetting rules out
+        sequence and transformer models).  ``False`` (default) recomputes the
         escalated rows on cached compiled plans: the same thresholds,
         more multiply-adds, far fewer seconds.
     """
 
     def __init__(self, model, stages: Sequence[CascadeStage],
-                 exact: bool = True, incremental: bool = False):
+                 incremental: bool = False):
         stages = [s if isinstance(s, CascadeStage) else CascadeStage(*s)
                   for s in stages]
         if len(stages) < 2:
@@ -170,7 +166,6 @@ class CascadeExecutor:
                     f"pointwise wider than stage {k} ({stage.label()})")
         self.model = model
         self.stages = stages
-        self.exact = bool(exact)
         self.incremental = bool(incremental)
         #: Compiled stage plans of the recompute path; parameter-version
         #: checks recompile them after a mutation.
@@ -239,8 +234,7 @@ class CascadeExecutor:
 
     def _resume(self, x: np.ndarray):
         """Stage ``k`` subsets the previous resumable pass and widens it."""
-        plan = ResumablePlan(self.model, self.stages[0].rate,
-                             exact=self.exact)
+        plan = ResumablePlan(self.model, self.stages[0].rate)
 
         def answer(k, rows, local):
             nonlocal plan

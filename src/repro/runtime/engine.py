@@ -317,7 +317,7 @@ class InferenceRuntime:
 
     def _retry(self, batch: Batch, now: float) -> None:
         """Re-admit a failed batch, capping each retry at a narrower rate."""
-        cap = self._downgrade(batch.rate)
+        cap = self.controller.downgrade(batch.rate)
         for request in batch.requests:
             if request.attempts >= self.config.max_attempts:
                 self._finalize(request, OUTCOME_FAILED, now)
@@ -335,21 +335,6 @@ class InferenceRuntime:
                 self._finalize(request, OUTCOME_EXPIRED, now)
             else:
                 self._finalize(request, OUTCOME_FAILED, now)
-
-    def _downgrade(self, rate):
-        """The next narrower candidate rate (or ``rate`` if none exists).
-
-        Controllers whose candidates aren't totally ordered scalars
-        (e.g. :class:`~repro.serving.ProfileTableController`) supply
-        their own ``downgrade`` hook; it wins when present.
-        """
-        hook = getattr(self.controller, "downgrade", None)
-        if hook is not None:
-            return hook(rate)
-        candidates = getattr(self.controller, "rates", None) \
-            or [getattr(self.controller, "rate")]
-        lower = [r for r in candidates if float(r) < float(rate) - _EPS]
-        return max(lower) if lower else rate
 
     # -- bookkeeping ----------------------------------------------------
     def _schedule_queue_events(self, trace: RequestTrace, now: float) -> None:

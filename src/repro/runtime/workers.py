@@ -267,10 +267,9 @@ def _worker_main(boot: WorkerBoot, conn) -> None:
                 reply = pack_frame(OP_OK, value=replica.warm_plans(
                     [profile for _, profile in payload]))
             elif op == OP_SET_CASCADE:
-                stages, exact, incremental = payload
+                stages, incremental = payload
                 arena.refresh(model)
-                executor = CascadeExecutor(model, stages, exact=exact,
-                                           incremental=incremental)
+                executor = CascadeExecutor(model, stages, incremental=incremental)
                 reply = pack_frame(OP_OK, value=executor.warm())
             elif op == OP_STATS:
                 reply = pack_frame(OP_OK, value={
@@ -595,8 +594,7 @@ class ProcessReplicaPool(ReplicaPool):
         the plans warmed across the pool.
         """
         self.sync()
-        payload = (list(executor.stages), executor.exact,
-                   executor.incremental)
+        payload = (list(executor.stages), executor.incremental)
         return sum(int(handle.call(OP_SET_CASCADE, payload))
                    for handle in self._live())
 

@@ -10,6 +10,7 @@ from .workload import (
 from .controller import (
     AdaptiveSliceRateController,
     CascadeController,
+    CostTableController,
     FixedRateController,
     ProfileTableController,
     SliceRateController,
@@ -28,6 +29,7 @@ __all__ = [
     "spike_rate",
     "generate_arrivals",
     "peak_to_trough",
+    "CostTableController",
     "SliceRateController",
     "AdaptiveSliceRateController",
     "CascadeController",

@@ -2,8 +2,9 @@
 
 Time is divided into ``T/2`` windows.  Arrivals landing in window ``k``
 form the batch processed during window ``k+1``.  A controller picks the
-slice rate per batch; a fixed-rate controller instead sheds the samples it
-cannot fit (the paper's coarse degradation).  The simulator accounts, per
+slice rate per batch; when even its cheapest candidate cannot fit the
+whole batch, the samples beyond that capacity are shed (for a fixed-rate
+controller, the paper's coarse degradation).  The simulator accounts, per
 window: admitted/dropped samples, chosen rate, realized processing time,
 SLO violations, and the accuracy implied by the chosen rate.
 """
@@ -124,10 +125,11 @@ def simulate_serving(arrivals: np.ndarray, controller,
     arrivals:
         Sorted arrival timestamps.
     controller:
-        Object with ``choose(batch_size) -> rate | None``; a ``None``
-        answer makes the simulator shed samples down to the controller's
-        ``max_batch`` (fixed-rate baseline) or drop the batch entirely if
-        even one sample cannot be served.
+        A :class:`~repro.serving.controller.CostTableController`.  A
+        ``None`` from ``choose`` makes the simulator shed samples down to
+        ``max_batch(floor)``, the capacity at the cheapest candidate (the
+        runtime batcher's rule), or drop the batch entirely if even one
+        sample cannot be served.
     accuracy_of_rate:
         Measured accuracy of the deployed model at each candidate rate
         (from a trained model's evaluation).
@@ -149,10 +151,8 @@ def simulate_serving(arrivals: np.ndarray, controller,
             ))
             continue
         if rate is None:
-            # Shed load until the controller can serve the remainder.
-            capacity = controller.max_batch(getattr(controller, "rate", None)) \
-                if hasattr(controller, "rate") else 0
-            admitted = min(n, capacity)
+            # Shed load down to the controller's capacity at its floor.
+            admitted = min(n, controller.max_batch(controller.floor))
             rate = controller.choose(admitted) if admitted else None
             dropped = n - admitted
         else:

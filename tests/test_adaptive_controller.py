@@ -39,16 +39,9 @@ class TestAdaptiveController:
         assert corrected <= optimistic
         assert corrected == 0.5  # the rate the true latency admits
 
-    def test_safety_factor_is_conservative(self):
-        plain = AdaptiveSliceRateController(RATES, 0.002, 0.1)
-        safe = AdaptiveSliceRateController(RATES, 0.002, 0.1, safety=2.0)
-        assert safe.choose(100) <= plain.choose(100)
-
     def test_validation(self):
         with pytest.raises(ServingError):
             AdaptiveSliceRateController(RATES, 0.002, 0.1, smoothing=0.0)
-        with pytest.raises(ServingError):
-            AdaptiveSliceRateController(RATES, 0.002, 0.1, safety=0.5)
         ctl = AdaptiveSliceRateController(RATES, 0.002, 0.1)
         with pytest.raises(ServingError):
             ctl.observe(0, 0.5, 0.1)

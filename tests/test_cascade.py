@@ -417,8 +417,7 @@ class TestCascadeExecutor:
         """Hand-compute the cascade from independent from-scratch plans."""
         model, data = demo
         x = data["eval_x"][:96].astype(np.float32)
-        executor = CascadeExecutor(model, self.stages(), exact=True,
-                                   incremental=True)
+        executor = CascadeExecutor(model, self.stages(), incremental=True)
         result = executor.run_batch(x)
         preds, stage, escalations = self.hand_cascade(
             x, lambda rate, rows: ResumablePlan(model, rate).run(rows))
@@ -604,7 +603,7 @@ def build_runtime(model, data, thresholds=(1.0, 1.0), replicas=2,
     rates = [0.25, 0.5, 1.0]
     stages = [CascadeStage(r, t) for r, t in zip(rates[:-1], thresholds)]
     stages.append(CascadeStage(rates[-1]))
-    executor = CascadeExecutor(model, stages, exact=True, incremental=True)
+    executor = CascadeExecutor(model, stages, incremental=True)
     cost = {r: 0.002 * r * r for r in rates}
     controller = CascadeController(rates, cost, latency_slo=0.1)
     pool = ReplicaPool(

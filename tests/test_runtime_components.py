@@ -19,7 +19,11 @@ from repro.runtime import (
     ReplicaPool,
     RequestTrace,
 )
-from repro.serving import FixedRateController, SliceRateController
+from repro.serving import (
+    FixedRateController,
+    ProfileTableController,
+    SliceRateController,
+)
 
 RATES = [0.25, 0.5, 0.75, 1.0]
 
@@ -159,6 +163,17 @@ class TestDynamicBatcher:
         assert len(batch) == 25
         assert batch.rate == 1.0
         assert q.depth == 15
+
+    def test_overload_sheds_to_cheapest_candidate(self):
+        # 0.75 is cheaper than 0.5 here, so the floor serves 50, not 33.
+        table = ProfileTableController({0.75: 1e-3, 0.5: 1.5e-3, 1.0: 2e-3},
+                                       0.1)
+        b = DynamicBatcher(table, max_batch_size=60, timeout=0.0)
+        q = self.queue_with(60)
+        batch, _ = b.form(q, now=0.0)
+        assert len(batch) == 50
+        assert batch.rate == 0.75
+        assert q.depth == 10
 
     def test_infeasible_controller_rejected(self):
         hopeless = FixedRateController(1.0, 1.0, 0.1)  # 1 sample needs 1s

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.errors import ServingError
+from repro import obs
+from repro.errors import BudgetError, ServingError
+from repro.experiments.config import RATE_GRID_4, RATE_GRID_8
 from repro.serving import (
+    AdaptiveSliceRateController,
+    CascadeController,
     FixedRateController,
+    ProfileTableController,
     SliceRateController,
     constant_rate,
     diurnal_rate,
@@ -14,6 +19,7 @@ from repro.serving import (
     simulate_serving,
     spike_rate,
 )
+from repro.slicing import rate_for_latency
 
 RATES = [0.25, 0.5, 0.75, 1.0]
 ACCURACY = {0.25: 0.7, 0.5: 0.8, 0.75: 0.85, 1.0: 0.9}
@@ -89,6 +95,98 @@ class TestControllers:
             SliceRateController(RATES, -1.0, 0.1)
 
 
+def _oracle(batch_size, full_latency, slo, rates):
+    """The paper's quadratic rule as :mod:`repro.slicing.budget` states it."""
+    try:
+        return rate_for_latency(batch_size, full_latency, slo, rates)
+    except BudgetError:
+        return None
+
+
+ORACLE_GRIDS = [RATE_GRID_8, RATE_GRID_4, [0.25, 0.5, 0.75, 1.0],
+                [0.25, 0.5, 1.0]]
+
+
+class TestReferenceOracle:
+    """The cost-table rule over ``t * r * r`` is ``rate_for_latency``."""
+
+    @pytest.mark.parametrize("rates", ORACLE_GRIDS)
+    def test_elastic_matches_rate_for_latency(self, rates):
+        for t in (0.0005, 0.001, 0.002, 0.003):
+            for slo in (0.05, 0.1, 0.2):
+                ctl = SliceRateController(rates, t, slo)
+                for n in range(1, 5000):
+                    assert ctl.choose(n) == _oracle(n, t, slo, rates), \
+                        (rates, t, slo, n)
+
+    @pytest.mark.parametrize("rates", ORACLE_GRIDS)
+    def test_adaptive_matches_after_observe(self, rates):
+        ctl = AdaptiveSliceRateController(rates, 0.0005, 0.1, smoothing=0.5)
+        for elapsed in (0.01, 0.04, 0.02):
+            t = ctl.observe(10, 0.5, elapsed)
+            for n in range(1, 5000):
+                assert ctl.choose(n) == _oracle(n, t, 0.1, rates), (t, n)
+
+
+def _protocol_controllers():
+    costs = {0.25: 0.0006, 0.5: 0.001, 0.75: 0.0013, 1.0: 0.002}
+    return {
+        "elastic": SliceRateController(RATES, 0.002, 0.1),
+        "elastic-calibrated": SliceRateController(
+            RATES, 0.002, 0.1, cost_of_rate=costs),
+        "adaptive": AdaptiveSliceRateController(RATES, 0.002, 0.1),
+        "fixed": FixedRateController(0.5, 0.002, 0.1),
+        # Cost order differs from rate order: 0.75 is the cheapest.
+        "profile-table": ProfileTableController(
+            {0.75: 1e-3, 0.5: 1.5e-3, 1.0: 2e-3}, 0.1),
+        "cascade": CascadeController(
+            [0.25, 0.5, 1.0], {0.25: 1e-4, 0.5: 4e-4, 1.0: 1.6e-3}, 0.1),
+    }
+
+
+class TestControllerProtocol:
+    """``rates``/``floor``/``downgrade``/``max_batch`` for every policy."""
+
+    @pytest.mark.parametrize("name", sorted(_protocol_controllers()))
+    def test_rates_cheapest_first_from_floor(self, name):
+        ctl = _protocol_controllers()[name]
+        costs = [ctl.per_sample_cost(r) for r in ctl.rates]
+        assert costs == sorted(costs)
+        assert ctl.floor == ctl.rates[0]
+
+    @pytest.mark.parametrize("name", sorted(_protocol_controllers()))
+    def test_downgrade_steps_to_the_floor(self, name):
+        ctl = _protocol_controllers()[name]
+        assert ctl.downgrade(ctl.floor) == ctl.floor
+        for cheaper, wider in zip(ctl.rates, ctl.rates[1:]):
+            expected = ctl.floor if name == "cascade" else cheaper
+            assert ctl.downgrade(wider) == expected
+
+    @pytest.mark.parametrize("name", sorted(_protocol_controllers()))
+    def test_max_batch_at_floor_is_the_admission_edge(self, name):
+        ctl = _protocol_controllers()[name]
+        capacity = ctl.max_batch(ctl.floor)
+        assert ctl.choose(capacity) is not None
+        assert ctl.choose(capacity + 1) is None
+
+    def test_profile_table_ranks_by_cost_not_rate(self):
+        ctl = _protocol_controllers()["profile-table"]
+        assert [float(r) for r in ctl.rates] == [0.75, 0.5, 1.0]
+        assert ctl.choose(50) == 0.75
+        assert ctl.max_batch(ctl.floor) == 50
+
+    def test_decision_cost_is_the_quadratic_product(self):
+        _, tracer = obs.configure()
+        try:
+            SliceRateController(RATES, 0.003, 0.1).choose(40)
+            FixedRateController(0.75, 0.003, 0.1).choose(7)
+            costs = [r["attrs"]["cost"] for r in tracer.records
+                     if r.get("name") == "controller.decision"]
+        finally:
+            obs.shutdown(write_metrics=False)
+        assert costs == [40 * (0.003 * 0.5 * 0.5), 7 * (0.003 * 0.75 * 0.75)]
+
+
 class TestSimulator:
     def arrivals(self, rate, duration=10.0, seed=0):
         return generate_arrivals(constant_rate(rate), duration,
@@ -125,6 +223,20 @@ class TestSimulator:
                                    SliceRateController(RATES, 0.002, 0.1),
                                    0.002, 0.1, ACCURACY, 10.0)
         assert elastic.mean_accuracy > small.mean_accuracy
+
+    @pytest.mark.parametrize("controller", [
+        SliceRateController(RATES, 0.002, 0.1),
+        FixedRateController(0.25, 0.002, 0.1),
+    ], ids=["elastic", "fixed"])
+    def test_overload_sheds_to_floor_capacity(self, controller):
+        # 450 arrivals in one 50 ms window; 400 fit at rate 0.25.
+        arrivals = np.full(450, 0.01)
+        report = simulate_serving(arrivals, controller, 0.002, 0.1,
+                                  ACCURACY, 0.05)
+        window = report.windows[0]
+        assert (window.admitted, window.dropped, window.rate) \
+            == (400, 50, 0.25)
+        assert window.slo_met
 
     def test_report_accounting_consistent(self):
         arrivals = self.arrivals(300.0)
@@ -167,8 +279,9 @@ class TestCalibratedControllers:
     def test_calibrated_cost_overrides_quadratic(self):
         ctl = SliceRateController(RATES, 0.002, 0.1, cost_of_rate=self.COSTS)
         assert ctl.per_sample_cost(0.5) == pytest.approx(0.001)
-        # Uncalibrated rates fall back to the quadratic model.
-        assert ctl.per_sample_cost(0.6) == pytest.approx(0.002 * 0.36)
+        # A rate outside the candidates has no cost.
+        with pytest.raises(ServingError):
+            ctl.per_sample_cost(0.6)
 
     def test_calibrated_choose_uses_real_curve(self):
         ctl = SliceRateController(RATES, 0.002, 0.1, cost_of_rate=self.COSTS)
