@@ -27,14 +27,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, PlanError, ShapeError
 from ..nn.attention import MultiHeadSelfAttention, softmax_eval
 from ..nn.embedding import Embedding, LearnedPositional
 from ..nn.module import Module, ModuleList
 from ..nn.norm import LayerNorm, layer_norm_eval
 from ..slicing.layers import SlicedLinear
-from ..slicing.profile import (LayerProfile, as_profile,
-                               assign_slice_points, named_slice_points)
+from ..slicing.plans import (AttentionBlockStep, EmbeddingStep,
+                             PositionalStep, get_plan)
+from ..slicing.profile import (LayerProfile, assign_slice_points,
+                               named_slice_points)
 from ..tensor import Tensor, log_softmax
 
 
@@ -219,22 +221,29 @@ class TransformerLM(Module):
         picked = flat[np.arange(steps * batch), targets.reshape(-1)]
         return -(picked.sum() * (1.0 / (steps * batch)))
 
+    def _session_length(self, max_seq: int | None) -> int:
+        """A session's cache length: ``max_seq``, at most the model's."""
+        seq = self.max_seq if max_seq is None else int(max_seq)
+        if not 0 < seq <= self.max_seq:
+            raise ShapeError(
+                f"session length {seq} outside 1..{self.max_seq} "
+                f"(the positional table's length)")
+        return seq
+
     def kv_cache_bytes(self, profile=1.0, max_seq: int | None = None,
                        dtype_bytes: int = 4) -> int:
         """Per-session KV-cache footprint at ``profile``.
 
-        ``layers x heads(profile) x d_k x max_seq x 2`` float32 entries:
-        only the *active* heads of each block are cached, so narrower
-        profiles admit more resident sessions per node.
+        ``heads x head_dim x max_seq x 2`` entries summed over the
+        attention steps of the profile's compiled plan: only the
+        *active* heads of each block are cached, so narrower profiles
+        admit more resident sessions per node.
         """
-        profile = as_profile(profile)
-        seq = self.max_seq if max_seq is None else int(max_seq)
-        total = 0
-        for block in self.blocks:
-            attn = block.attn
-            heads = attn.active_heads(profile.rate_for(attn.slice_point))
-            total += heads * attn.head_dim * seq * 2 * dtype_bytes
-        return total
+        seq = self._session_length(max_seq)
+        inner = sum(step.heads * step.head_dim
+                    for step in get_plan(self, profile).steps
+                    if isinstance(step, AttentionBlockStep))
+        return inner * seq * 2 * dtype_bytes
 
     def new_session(self, profile=1.0,
                     max_seq: int | None = None) -> "DecoderSession":
@@ -245,73 +254,44 @@ class TransformerLM(Module):
 class DecoderSession:
     """Per-session incremental decoding state for :class:`TransformerLM`.
 
-    Snapshots the profile's prefix weights once, then decodes one token
-    at a time against a preallocated per-layer key/value cache — each
-    step costs O(T) attention instead of the O(T²) full re-forward.  The
-    cache holds only the active heads, so :attr:`kv_bytes` matches
+    Runs the profile's cached compiled plan (:func:`get_plan`) one token
+    at a time, so every session at one profile shares one plan and its
+    weights.  The session's own job is the per-head key/value cache and
+    the one-token attention over it: each step costs O(T) attention
+    instead of the O(T²) full re-forward.  The cache holds only the
+    active heads, so :attr:`kv_bytes` matches
     ``TransformerLM.kv_cache_bytes`` for the same profile.
+
+    Plan steps alias the model's parameters, and a cache filled under
+    old weights means nothing under new ones: once the plan goes stale
+    (:meth:`InferencePlan.is_valid`), :meth:`append` raises
+    :class:`PlanError`.
     """
 
     def __init__(self, model: TransformerLM, profile=1.0,
                  max_seq: int | None = None):
-        profile = as_profile(profile)
-        self.profile = profile
-        self.max_seq = model.max_seq if max_seq is None else int(max_seq)
-        self.vocab_size = model.vocab_size
-        width = model.embedding.active_width(
-            profile.rate_for(model.embedding.slice_point))
-        self.width = width
-        self.embed = model.embedding.weight.data[:, :width].copy()
-        self.pos = model.pos.weight.data[:self.max_seq, :width].copy()
-        self.layers: list[dict] = []
-        for block in model.blocks:
-            attn = block.attn
-            heads = attn.active_heads(profile.rate_for(attn.slice_point))
-            head_dim = attn.head_dim
-            rows = 3 * heads * head_dim
-            ffn = block.fc1.out_partition.width_for(
-                profile.rate_for(block.fc1.slice_point))
-            fc2_out = block.fc2.out_partition.width_for(
-                profile.rate_for(block.fc2.slice_point))
-            if fc2_out != width:
-                raise ShapeError(
-                    f"profile gives fc2 width {fc2_out} but the residual "
-                    f"stream is {width} wide"
-                )
-            self.layers.append({
-                "eps": block.ln1.eps,
-                "ln1_g": block.ln1.weight.data[:width].copy(),
-                "ln1_b": block.ln1.bias.data[:width].copy(),
-                "qkv_w": attn.qkv_weight.data[:rows, :width].copy(),
-                "qkv_b": attn.qkv_bias.data[:rows].copy(),
-                "proj_w": attn.proj_weight.data[:width,
-                                                :heads * head_dim].copy(),
-                "proj_b": attn.proj_bias.data[:width].copy(),
-                "ln2_g": block.ln2.weight.data[:width].copy(),
-                "ln2_b": block.ln2.bias.data[:width].copy(),
-                "fc1_w": block.fc1.weight.data[:ffn, :width].copy(),
-                "fc1_b": block.fc1.bias.data[:ffn].copy(),
-                "fc2_w": block.fc2.weight.data[:width, :ffn].copy(),
-                "fc2_b": block.fc2.bias.data[:width].copy(),
-                "heads": heads,
-                "head_dim": head_dim,
-                "k": np.zeros((heads, self.max_seq, head_dim),
-                              dtype=np.float32),
-                "v": np.zeros((heads, self.max_seq, head_dim),
-                              dtype=np.float32),
-            })
-        self.ln_f_g = model.ln_f.weight.data[:width].copy()
-        self.ln_f_b = model.ln_f.bias.data[:width].copy()
-        self.ln_f_eps = model.ln_f.eps
-        self.dec_w = model.decoder.weight.data[:, :width].copy()
-        self.dec_b = model.decoder.bias.data.copy()
+        self.max_seq = model._session_length(max_seq)
+        self.plan = get_plan(model, profile)
+        self.profile = self.plan.profile
+        steps = self.plan.steps
+        self._embed = next(s for s in steps if isinstance(s, EmbeddingStep))
+        self._pos = next(s for s in steps
+                         if isinstance(s, PositionalStep)).weight
+        self._steps = [s for s in steps
+                       if not isinstance(s, (EmbeddingStep, PositionalStep))]
+        # One (keys, values) cache per attention step, None elsewhere.
+        self._caches = [
+            np.zeros((2, s.heads, self.max_seq, s.head_dim), np.float32)
+            if isinstance(s, AttentionBlockStep) else None
+            for s in self._steps
+        ]
         self.length = 0
 
     @property
     def kv_bytes(self) -> int:
         """Bytes held by this session's key/value cache."""
-        return sum(layer["k"].nbytes + layer["v"].nbytes
-                   for layer in self.layers)
+        return sum(cache.nbytes for cache in self._caches
+                   if cache is not None)
 
     def append(self, token: int) -> np.ndarray:
         """Feed one token; returns ``(vocab,)`` next-token log-probs."""
@@ -320,31 +300,30 @@ class DecoderSession:
             raise ShapeError(
                 f"session is full ({self.max_seq} tokens); start a new one"
             )
-        x = self.embed[int(token)] + self.pos[t]
-        for layer in self.layers:
-            heads, head_dim = layer["heads"], layer["head_dim"]
-            hx = layer_norm_eval(x, layer["ln1_g"], layer["ln1_b"],
-                                 layer["eps"])
-            qkv = (layer["qkv_w"] @ hx + layer["qkv_b"]).reshape(
-                heads, 3, head_dim)
-            layer["k"][:, t] = qkv[:, 1]
-            layer["v"][:, t] = qkv[:, 2]
-            scale = 1.0 / np.sqrt(head_dim)
-            keys = layer["k"][:, :t + 1]
-            values = layer["v"][:, :t + 1]
-            scores = np.einsum("hd,htd->ht", qkv[:, 0], keys) * scale
-            attn = softmax_eval(scores)
-            ctx = np.einsum("ht,htd->hd", attn, values)
-            x = x + (layer["proj_w"] @ ctx.reshape(-1) + layer["proj_b"])
-            hx2 = layer_norm_eval(x, layer["ln2_g"], layer["ln2_b"],
-                                  layer["eps"])
-            hidden = np.maximum(layer["fc1_w"] @ hx2 + layer["fc1_b"], 0.0)
-            x = x + (layer["fc2_w"] @ hidden + layer["fc2_b"])
+        if not self.plan.is_valid():
+            raise PlanError(
+                "model weights changed since the session started; its KV "
+                "cache is stale, start a new session")
+        x = self._embed(np.asarray(token)) + self._pos[t]
+        for step, cache in zip(self._steps, self._caches):
+            x = step(x) if cache is None else _attend(step, cache, x, t)
         self.length = t + 1
-        final = layer_norm_eval(x, self.ln_f_g, self.ln_f_b, self.ln_f_eps)
-        logits = self.dec_w @ final + self.dec_b
-        shifted = logits - logits.max()
-        return shifted - np.log(np.exp(shifted).sum())
+        return x
+
+
+def _attend(step: AttentionBlockStep, cache: np.ndarray, x: np.ndarray,
+            t: int) -> np.ndarray:
+    """``x + attn(ln(x))`` for the token at position ``t``, caching its
+    keys and values and attending over positions ``0..t``."""
+    hx = layer_norm_eval(x, step.ln_gamma, step.ln_beta, step.eps)
+    qkv = (step.qkv_weight @ hx + step.qkv_bias).reshape(
+        step.heads, 3, step.head_dim)
+    cache[0, :, t] = qkv[:, 1]
+    cache[1, :, t] = qkv[:, 2]
+    scale = 1.0 / np.sqrt(step.head_dim)
+    scores = np.einsum("hd,htd->ht", qkv[:, 0], cache[0, :, :t + 1]) * scale
+    ctx = np.einsum("ht,htd->hd", softmax_eval(scores), cache[1, :, :t + 1])
+    return x + (step.proj_weight @ ctx.reshape(-1) + step.proj_bias)
 
 
 def transformer_search_points(model) -> list[str]:
@@ -354,13 +333,9 @@ def transformer_search_points(model) -> list[str]:
     width controller and ``fc2`` must stay at the profile default so the
     residual stream keeps one consistent width.
     """
-    names = []
-    for name, module in named_slice_points(model):
-        if isinstance(module, MultiHeadSelfAttention):
-            names.append(name)
-        elif isinstance(module, SlicedLinear) and name.endswith("fc1"):
-            names.append(name)
-    return names
+    return [name for name, module in named_slice_points(model)
+            if isinstance(module, MultiHeadSelfAttention)
+            or (isinstance(module, SlicedLinear) and name.endswith("fc1"))]
 
 
 def head_ffn_profile(model, head_rate: float, ffn_rate: float,
@@ -371,10 +346,6 @@ def head_ffn_profile(model, head_rate: float, ffn_rate: float,
     to every ``fc1``, leaving the residual width at ``default`` — the
     2-axis family the multi-rate trainer samples from.
     """
-    rates: dict[str, float] = {}
-    for name, module in named_slice_points(model):
-        if isinstance(module, MultiHeadSelfAttention):
-            rates[name] = head_rate
-        elif isinstance(module, SlicedLinear) and name.endswith("fc1"):
-            rates[name] = ffn_rate
+    rates = {name: ffn_rate if name.endswith("fc1") else head_rate
+             for name in transformer_search_points(model)}
     return LayerProfile(rates, default=default)

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 from .. import obs
 from ..errors import BudgetError
 from .context import validate_rate
+from .plans import AttentionStep, compile_layer
 from .profile import LayerProfile, SliceProfile, UniformProfile
 
 
@@ -123,18 +124,14 @@ def width_slice_points(model) -> list[tuple[str, object]]:
     return points
 
 
-def _point_widths(module, rate: float) -> tuple[int, int]:
-    """``(active_width, full_width)`` of a width-controlling module."""
-    head_part = getattr(module, "head_partition", None)
-    if head_part is not None:
-        # Attention: the width decision is head-granular (whole trailing
-        # heads), so active width moves in head_dim-sized steps.
-        return (head_part.groups_for(rate) * module.head_dim,
-                head_part.width * module.head_dim)
-    if hasattr(module, "out_partition") and module.out_partition is not None:
-        full = module.out_partition.width
-        return module.out_partition.width_for(rate), full
-    return module.partition.width_for(rate), module.hidden_size
+def _point_width(module, rate: float) -> int:
+    """Active width of a width-controlling module at ``rate``, read off
+    its compiled step: the output width, or for attention the active
+    heads times the head size (its decision is head-granular)."""
+    step = compile_layer(module, rate)
+    if isinstance(step, AttentionStep):
+        return step.heads * step.head_dim
+    return step.out_width
 
 
 @dataclass
@@ -268,9 +265,10 @@ def search_profile_for_budget(
             trial_cost = evaluate(trial)
             if trial_cost > budget:
                 continue
-            active, full = _point_widths(modules[name], current)
-            new_active, _ = _point_widths(modules[name], candidates[index + 1])
-            gain = (new_active - active) / full
+            module = modules[name]
+            gain = (_point_width(module, candidates[index + 1])
+                    - _point_width(module, current)) \
+                / _point_width(module, 1.0)
             delta = max(trial_cost - cost, 1e-12)
             score = importance.get(name, 1.0) * gain / delta
             if score > best_score:

@@ -6,8 +6,8 @@ weight prefixes out of the full tensors, re-applies the
 inference never uses.  A plan bakes all of that ahead of time for one
 ``(model, rate)`` pair:
 
-* **contiguous weight prefixes** — each step copies exactly the
-  ``Subnet-r`` prefix of its layer's parameters into contiguous arrays
+* **contiguous weight prefixes** — each step holds exactly the
+  ``Subnet-r`` prefix of its layer's parameters as contiguous arrays
   (the rescale factor folded in), so the hot loop is plain BLAS over
   dense operands;
 * **no autograd** — steps are pure-numpy callables on ``ndarray``s, no
@@ -16,14 +16,18 @@ inference never uses.  A plan bakes all of that ahead of time for one
   buffers (padded input, im2col matrix, output) keyed on the input
   shape, so steady-state serving does not re-allocate per request.
 
-Plans are *snapshots*: compiling copies the weights, so a plan never
-observes later parameter mutation.  Staleness is detected instead — each
+Plans are *not* copies: a prefix that is already a contiguous float32
+array (a bias prefix, a block of leading rows, a whole weight) is a view
+of the live parameter, so steps may alias parameters and see later
+in-place writes.  The version check is the guard instead — each
 :class:`~repro.nn.module.Parameter` carries a version counter bumped on
 every rebinding write (``param.data = ...``, ``param.data -= ...``), and
 a plan records the ``(parameter, version)`` pairs it was compiled from.
 :meth:`InferencePlan.is_valid` re-walks the model and fails on any
 version bump, identity change (e.g. ``upgrade_model`` swapped layers) or
-rebound running-statistics buffer, and :class:`PlanCache` recompiles.
+rebound running-statistics buffer; :class:`PlanCache` recompiles, and a
+plan held outside the cache is run only while it is valid.  Aliasing is
+deliberate: process workers compile over a shared parameter arena.
 
 Models whose class has no declaration in :mod:`repro.slicing.families`
 get a :class:`FallbackPlan` that runs the ordinary sliced forward under
@@ -50,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .. import obs
-from ..errors import PlanError
+from ..errors import PlanError, ShapeError
 from ..nn.attention import MultiHeadSelfAttention, attention_eval, causal_mask
 from ..nn.dropout import Dropout
 from ..nn.embedding import Embedding, LearnedPositional
@@ -375,8 +379,11 @@ class EmbeddingStep(PlanStep):
 
     def __call__(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices)
+        # The live op's checks; a negative id would silently wrap.
         if idx.dtype.kind not in "iu":
-            raise PlanError("embedding step expects integer token ids")
+            raise ShapeError("embedding indices must be integers")
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self.weight)):
+            raise ShapeError("embedding index out of range")
         return self.weight[idx]
 
 

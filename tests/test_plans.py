@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.errors import PlanError
+from repro.errors import PlanError, ShapeError
 from repro.metrics import active_params
 from repro.models import (MLP, NNLM, SlicedVGG, TransformerEncoder,
                           TransformerLM)
@@ -312,6 +312,32 @@ class TestModelEquivalence:
         assert sizes[0] < sizes[-1]
 
 
+class TestTokenIdRange:
+    """A bad token id fails alike live, compiled and resumable (a
+    negative id would otherwise wrap to the last vocabulary row)."""
+
+    @pytest.mark.parametrize("bad", ["negative", "vocab", "float"])
+    @pytest.mark.parametrize("family", ["nnlm", "tlm"])
+    def test_bad_token_ids_raise_everywhere(self, family, bad):
+        from repro.slicing import ResumablePlan
+        if family == "nnlm":
+            model = NNLM(vocab_size=20, embed_dim=8, hidden_size=8,
+                         num_groups=4, seed=0)
+        else:
+            model = TransformerLM(20, embed_dim=16, num_heads=4, ffn_dim=32,
+                                  depth=1, max_seq=8, num_groups=4, seed=0)
+        model.eval()
+        tokens = np.ones((5, 2), dtype=np.int64)
+        tokens[3, 1] = -1 if bad == "negative" else 20
+        if bad == "float":
+            tokens = np.ones((5, 2), dtype=np.float32)
+        for run in (lambda: _sliced(model, tokens, 0.5),
+                    lambda: compile_plan(model, 0.5).run(tokens),
+                    lambda: ResumablePlan(model, 0.5).run(tokens)):
+            with pytest.raises(ShapeError, match="out of range|integers"):
+                run()
+
+
 # ----------------------------------------------------------------------
 # Nesting: Subnet-r_a's plan weights are a prefix of Subnet-r_b's (Eq. 2)
 # ----------------------------------------------------------------------
@@ -463,6 +489,19 @@ class TestPlanCache:
         x = rng.normal(size=(3, 8)).astype(np.float32)
         np.testing.assert_allclose(fresh.run(x), _sliced(model, x, 0.5),
                                    rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0])
+    def test_held_plan_aliases_parameters(self, rng, rate):
+        """Plans are not copies: contiguous prefixes are views of the
+        live parameters, so a held plan is run only while is_valid()."""
+        model = MLP(8, [16], 4, seed=0)
+        plan = compile_plan(model, rate)
+        x = rng.normal(size=(3, 8)).astype(np.float32)
+        before = plan.run(x).copy()
+        for param in model.parameters():
+            param.data -= 0.1
+        assert not plan.is_valid()
+        assert not np.array_equal(plan.run(x), before)
 
     def test_manual_rebind_invalidates(self):
         model = MLP(8, [8], 3, num_groups=4, seed=0)

@@ -34,6 +34,7 @@ from repro.models import MLP, TransformerEncoder, TransformerLM
 from repro.models.transformer import (head_ffn_profile,
                                       transformer_search_points)
 from repro.nn import Embedding
+from repro.optim import SGD
 from repro.runtime import LatencyProfile
 from repro.slicing import (
     LayerProfile,
@@ -302,6 +303,52 @@ class TestDecoderSession:
         session.append(2)
         with pytest.raises(ShapeError):
             session.append(3)
+
+    def test_session_longer_than_positions_rejected(self, lm):
+        for seq in (0, lm.max_seq + 1):
+            with pytest.raises(ShapeError, match="session length"):
+                lm.new_session(1.0, max_seq=seq)
+            with pytest.raises(ShapeError, match="session length"):
+                lm.kv_cache_bytes(1.0, max_seq=seq)
+        assert lm.new_session(1.0, max_seq=lm.max_seq).max_seq == 16
+
+    @pytest.mark.parametrize("token", [-1, 61])
+    def test_out_of_range_token_rejected(self, lm, token):
+        session = lm.new_session(0.5)
+        with pytest.raises(ShapeError, match="out of range"):
+            session.append(token)
+        assert session.length == 0
+
+    def test_sessions_share_one_plan(self, lm):
+        """A session's weights are views of its profile's cached plan;
+        the only arrays it owns are its KV cache."""
+        profile = head_ffn_profile(lm, 0.5, 0.75)
+        first, second = lm.new_session(profile), lm.new_session(profile)
+        assert first.plan is second.plan
+        weights = [v for step in first.plan.steps for v in vars(step).values()
+                   if isinstance(v, np.ndarray)]
+        owned = 0
+        for value in vars(first).values():
+            for arr in (value if isinstance(value, list) else [value]):
+                if isinstance(arr, np.ndarray) and not any(
+                        np.shares_memory(arr, w) for w in weights):
+                    owned += arr.nbytes
+        assert owned == first.kv_bytes == lm.kv_cache_bytes(profile)
+
+    def test_stale_session_raises(self):
+        model = TransformerLM(61, embed_dim=32, num_heads=HEADS, ffn_dim=64,
+                              depth=2, max_seq=16, seed=5)
+        session = model.new_session(1.0)
+        session.append(3)
+        optimizer = SGD(model.parameters(), lr=0.1)
+        model.sequence_nll(np.array([[3], [4]]),
+                           np.array([[4], [5]])).backward()
+        optimizer.step()
+        with pytest.raises(PlanError, match="stale"):
+            session.append(4)
+        fresh = model.new_session(1.0)
+        fresh.append(3)
+        assert fresh.plan is not session.plan
 
 
 def _token_builder(shape):
