@@ -169,12 +169,14 @@ def _demo_model(name: str, seed: int):
     Returns ``(model, row_shape)``: ``row_shape`` is one input row's
     shape, or None for time-major token ids over a 64-word vocabulary.
     """
-    from .models import MLP, NNLM, SlicedVGG, TransformerEncoder, TransformerLM
+    from .models import (MLP, NNLM, SlicedResNet, SlicedVGG,
+                         TransformerEncoder, TransformerLM)
 
     image = (3, 8, 8)
     table = {
         "mlp": (lambda: MLP(32, [64, 64], 8, seed=seed), (32,)),
         "cnn": (lambda: SlicedVGG.cifar_mini(width=16, seed=seed), image),
+        "resnet": (lambda: SlicedResNet.cifar_mini(seed=seed), image),
         "tenc": (lambda: TransformerEncoder(
             image_size=8, patch_size=4, channels=3, num_classes=8,
             embed_dim=32, num_heads=4, ffn_dim=64, depth=2, seed=seed),
@@ -896,9 +898,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile per-rate inference plans and compare against the "
              "uncompiled sliced forward")
     plan.add_argument("--model", default="cnn",
-                      choices=["mlp", "cnn", "nnlm", "tenc", "tlm"],
-                      help="tenc/tlm are the sliced-attention transformer "
-                           "encoder and decoder LM (head+FFN slicing)")
+                      choices=["mlp", "cnn", "resnet", "nnlm", "tenc",
+                               "tlm"],
+                      help="resnet is the pre-activation bottleneck "
+                           "ResNet; tenc/tlm are the sliced-attention "
+                           "transformer encoder and decoder LM (head+FFN "
+                           "slicing)")
     plan.add_argument("--batch", type=int, default=8)
     plan.add_argument("--repeats", type=int, default=15)
     plan.add_argument("--rates", type=float, nargs="*", default=None,

@@ -4,7 +4,9 @@ Follows the paper's Table 3 configurations: ResNet-164 / ResNet-56-2 on
 CIFAR and ResNet-50 on ImageNet, all built from the pre-activation
 bottleneck ``conv1x1 - conv3x3 - conv1x1`` (He et al., identity mappings).
 Slicing applies to every conv's channel groups; identity shortcuts stay
-width-consistent because all layers share one slice rate.
+width-consistent under a uniform rate.  A per-layer profile must give a
+block's last conv the width of its shortcut (or of the block input),
+else the block raises :class:`~repro.errors.ShapeError`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ShapeError
 from ..nn.module import Module, ModuleList
 from ..nn.pooling import GlobalAvgPool2d
 from ..slicing.layers import (
@@ -24,6 +26,7 @@ from ..slicing.layers import (
     SlicedGroupNorm,
     SlicedLinear,
 )
+from ..slicing.profile import assign_slice_points
 from ..tensor import Tensor
 
 
@@ -80,6 +83,11 @@ class BottleneckBlock(Module):
         out = self.conv2(self.norm2(out).relu())
         out = self.conv3(self.norm3(out).relu())
         identity = self.shortcut(pre) if self.shortcut is not None else x
+        if out.shape[1] != identity.shape[1]:
+            raise ShapeError(
+                f"residual body emits {out.shape[1]} channels but the "
+                f"shortcut {identity.shape[1]}; both branches must run "
+                f"at one width")
         return out + identity
 
 
@@ -136,6 +144,7 @@ class SlicedResNet(Module):
         self.head = SlicedLinear(current, num_classes, slice_input=True,
                                  slice_output=False, rescale=True,
                                  num_groups=num_groups, rng=rng)
+        assign_slice_points(self)
 
     def forward(self, x: Tensor) -> Tensor:
         x = self.stem(x)

@@ -11,7 +11,6 @@ from .embedding import Embedding, LearnedPositional
 from .attention import (MultiHeadSelfAttention, attention_eval, causal_mask,
                         softmax_eval)
 from .container import Sequential
-from .loss import CrossEntropyLoss, MSELoss
 from .recurrent import GRUCell, LSTM, LSTMCell, RNNCell
 from . import init
 
@@ -39,8 +38,6 @@ __all__ = [
     "GlobalAvgPool2d",
     "Embedding",
     "Sequential",
-    "CrossEntropyLoss",
-    "MSELoss",
     "RNNCell",
     "LSTMCell",
     "GRUCell",

@@ -137,8 +137,6 @@ _CATALOG = {
     "plan_cache_evictions_total": "Plans evicted by the cache's LRU policy.",
     "plan_cache_size": "Plans currently resident in the cache.",
     "plan_compiles_total": "Plan compilations per model class.",
-    "plan_fallbacks_total":
-        "Plans that fell back to the uncompiled sliced forward.",
     # -- cluster fleet (repro.cluster) --
     "cluster_nodes": "Fleet nodes per lifecycle state.",
     "cluster_node_utilization":

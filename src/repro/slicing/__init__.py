@@ -85,7 +85,6 @@ from .trainer import EpochRecord, SliceTrainer
 from .upgrade import upgrade_model
 from .deploy import materialize_subnet
 from .plans import (
-    FallbackPlan,
     InferencePlan,
     PlanCache,
     compile_layer,
@@ -151,7 +150,6 @@ __all__ = [
     "upgrade_model",
     "materialize_subnet",
     "InferencePlan",
-    "FallbackPlan",
     "PlanCache",
     "compile_plan",
     "compile_layer",

@@ -9,14 +9,20 @@ adapters around them:
 * ``flat_tail`` runs the last ops on ``(T * B, D)`` rows and restores
   the ``(T, B)`` leading axes afterwards (the sequence decoders).
 
+Ops form a tree: a ``residual`` op holds the ops of a pre-activation
+residual block (its pre-activation, its body and an optional projection
+shortcut), so a ResNet is declared like every other family.
+
 Both executors read these declarations and share :meth:`Family.execute`:
 :func:`~repro.slicing.plans.compile_plan` turns each op into a BLAS
 ``PlanStep``, and :class:`~repro.slicing.resume.ResumablePlan` runs the
 same compiled steps through nodes that retain their intermediates for
-Sec. 3.5 widening.  A new family built from existing op kinds is one
-more entry in :func:`families`.  A new op kind needs a step in
-``plans.py``, and a node class in ``resume.py`` only if it has a
-Sec. 3.5 reuse rule (every other step runs through the generic node).
+Sec. 3.5 widening.  Every bundled model is declared, and a model without
+a declaration has no plan (``compile_plan`` raises ``PlanError``).  A
+new family built from existing op kinds is one more entry in
+:func:`families`.  A new op kind needs a step in ``plans.py``, and a
+node class in ``resume.py`` only if it has a Sec. 3.5 reuse rule (every
+other step runs through the generic node).
 """
 
 from __future__ import annotations
@@ -39,12 +45,20 @@ class Op:
     ``attention`` and ``ffn`` halves); ``relu`` fuses a trailing ReLU;
     ``source`` is the module whose slice point sets the rate of a layer
     without one of its own (the conv feeding a norm).
+
+    A ``residual`` op computes ``body(pre(x)) + shortcut``: ``pre`` is
+    the pre-activation, ``body`` the residual branch, and ``shortcut``
+    a projection op that reads the pre-activated input (None: the
+    identity, which reads the raw block input ``x``).
     """
 
     kind: str
     layer: Any = None
     relu: bool = False
     source: Any = None
+    pre: tuple["Op", ...] = ()
+    body: tuple["Op", ...] = ()
+    shortcut: "Op | None" = None
 
 
 @dataclass(frozen=True)
@@ -102,6 +116,27 @@ def _vgg_ops(model) -> list[Op]:
     return ops + [Op("global_pool"), Op("linear", model.head)]
 
 
+def _resnet_ops(model) -> list[Op]:
+    ops = [Op("conv", model.stem)]
+    feeder = model.stem
+    for block in model.blocks:
+        ops.append(Op(
+            "residual", block,
+            pre=(Op("norm", block.norm1, relu=True, source=feeder),),
+            body=(Op("conv", block.conv1),
+                  Op("norm", block.norm2, relu=True, source=block.conv1),
+                  Op("conv", block.conv2),
+                  Op("norm", block.norm3, relu=True, source=block.conv2),
+                  Op("conv", block.conv3)),
+            shortcut=None if block.shortcut is None
+            else Op("conv", block.shortcut)))
+        # The block output has the width of both branches; norms read
+        # the rate of the conv registered last, as compile_leaves does.
+        feeder = block.conv3 if block.shortcut is None else block.shortcut
+    return ops + [Op("norm", model.final_norm, relu=True, source=feeder),
+                  Op("global_pool"), Op("linear", model.head)]
+
+
 def _nnlm_ops(model) -> list[Op]:
     return [Op("embedding", model.embedding), Op("lstm", model.lstm),
             Op("linear", model.decoder), Op("log_softmax")]
@@ -130,12 +165,14 @@ def families() -> tuple[Family, ...]:
     # Imported lazily: repro.models imports repro.slicing at module load.
     from ..models.mlp import MLP
     from ..models.nnlm import NNLM
+    from ..models.resnet import SlicedResNet
     from ..models.transformer import TransformerEncoder, TransformerLM
     from ..models.vgg import SlicedVGG
 
     return (
         Family("mlp", MLP, _mlp_ops),
         Family("cnn", SlicedVGG, _vgg_ops),
+        Family("resnet", SlicedResNet, _resnet_ops),
         Family("nnlm", NNLM, _nnlm_ops, flat_tail=2, row_subset=False),
         Family("tenc", TransformerEncoder, _encoder_ops,
                prepare=lambda model, images: model.patchify(images),

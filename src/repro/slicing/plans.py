@@ -29,13 +29,13 @@ rebound running-statistics buffer; :class:`PlanCache` recompiles, and a
 plan held outside the cache is run only while it is valid.  Aliasing is
 deliberate: process workers compile over a shared parameter arena.
 
-Models whose class has no declaration in :mod:`repro.slicing.families`
-get a :class:`FallbackPlan` that runs the ordinary sliced forward under
-``no_grad`` — correct, never stale, just not fast; the
-``plan_fallbacks_total`` counter records how often that happens.
-Plans always execute **eval-mode semantics**: dropout is identity and
-batch norm uses running statistics, regardless of the model's
-``training`` flag at compile time.
+Steps follow the model's declaration in :mod:`repro.slicing.families`;
+a residual op compiles to one :class:`ResidualStep` that holds the steps
+of its branches.  Every bundled model is declared, and a model without a
+declaration gets :class:`~repro.errors.PlanError` from
+:func:`compile_plan`.  Plans always execute **eval-mode semantics**:
+dropout is identity and batch norm uses running statistics, regardless
+of the model's ``training`` flag at compile time.
 
 Cache metrics (``plan_cache_hits_total``, ``plan_cache_misses_total``,
 ``plan_cache_invalidations_total``, ``plan_cache_evictions_total``,
@@ -48,6 +48,7 @@ one plan must not be invoked concurrently from multiple threads.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -60,9 +61,8 @@ from ..nn.dropout import Dropout
 from ..nn.embedding import Embedding, LearnedPositional
 from ..nn.norm import BatchNorm2d, LayerNorm, layer_norm_eval
 from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor
 from ..tensor.ops import window_max
-from .context import slice_profile
 from .families import Family, Op, family_of
 from .profile import SliceProfile, as_profile, snap_rate, validate_rate
 from .layers import (
@@ -81,7 +81,6 @@ from .recurrent import (
 
 __all__ = [
     "InferencePlan",
-    "FallbackPlan",
     "PlanCache",
     "compile_plan",
     "compile_layer",
@@ -238,7 +237,12 @@ class ConvStep(PlanStep):
 
 
 class GroupNormStep(PlanStep):
-    """Per-group normalization over the active channel prefix."""
+    """Per-group normalization over the active channel prefix.
+
+    Replays :class:`SlicedGroupNorm`'s eval arithmetic op for op (a
+    ``Tensor.mean`` is a sum times the reciprocal count, ``Tensor.relu``
+    is ``x * (x > 0)``), so the step is bitwise equal to the live layer.
+    """
 
     kind = "groupnorm"
 
@@ -263,22 +267,22 @@ class GroupNormStep(PlanStep):
             raise PlanError(
                 f"group-norm step compiled for {self.channels} channels, "
                 f"got {x.shape[1]}")
-        batch = x.shape[0]
-        spatial = x.shape[2:]
-        flat = int(np.prod(spatial, dtype=int)) if spatial else 1
-        groups = self.channels // self.group_size
-        grouped = x.reshape(batch, groups, self.group_size * flat)
-        mean = grouped.mean(axis=2, keepdims=True)
+        grouped = x.reshape(x.shape[0], self.channels // self.group_size,
+                            self.group_size * math.prod(x.shape[2:]))
+        inv_count = 1.0 / grouped.shape[2]
+        mean = grouped.sum(axis=2, keepdims=True) * inv_count
         centered = grouped - mean
-        var = np.einsum("bgk,bgk->bg", centered, centered) \
-            / (self.group_size * flat)
-        centered *= ((var + self.eps) ** -0.5)[:, :, None]
-        normed = centered.reshape((batch, self.channels) + spatial)
-        shape = (1, self.channels) + (1,) * len(spatial)
-        out = normed * self.weight.reshape(shape)
+        # In-place where the live op allocates: same bits, two buffers.
+        out = centered * centered
+        var = out.sum(axis=2, keepdims=True) * inv_count
+        centered *= (var + self.eps) ** -0.5
+        out = out.reshape(x.shape)
+        shape = (1, self.channels) + (1,) * (x.ndim - 2)
+        np.multiply(centered.reshape(x.shape), self.weight.reshape(shape),
+                    out=out)
         out += self.bias.reshape(shape)
         if self.relu:
-            np.maximum(out, 0.0, out=out)
+            out *= out > 0
         return out
 
 
@@ -463,9 +467,10 @@ class PositionalStep(PlanStep):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         seq_len = x.shape[1] if self.batch_first else x.shape[0]
         if seq_len > self.weight.shape[0]:
-            raise PlanError(
-                f"positional step compiled for max {self.weight.shape[0]} "
-                f"positions, got {seq_len}")
+            # The live model's check and message.
+            raise ShapeError(
+                f"sequence length {seq_len} exceeds max_seq "
+                f"{self.weight.shape[0]}")
         pos = self.weight[:seq_len]
         if not self.batch_first:
             pos = pos.reshape(seq_len, 1, -1)
@@ -582,6 +587,36 @@ class MeanPoolStep(PlanStep):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         count = x.shape[self.axis]
         return x.sum(axis=self.axis) * (1.0 / count)
+
+
+class ResidualStep(PlanStep):
+    """Pre-activation residual block: ``body(pre(x)) + shortcut``.
+
+    ``pre`` (norm + ReLU) feeds the body and a projection ``shortcut``;
+    a block without one adds its raw input ``x``.
+    """
+
+    kind = "residual"
+
+    def __init__(self, pre: list[PlanStep], body: list[PlanStep],
+                 shortcut: PlanStep | None):
+        self.pre = list(pre)
+        self.body = list(body)
+        self.shortcut = shortcut
+        self.out_width = self.body[-1].out_width
+
+    def param_bytes(self) -> int:
+        skip = [] if self.shortcut is None else [self.shortcut]
+        return sum(step.param_bytes() for step in self.pre + self.body + skip)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        h = x
+        for step in self.pre:
+            h = step(h)
+        out = h
+        for step in self.body:
+            out = step(out)
+        return out + (x if self.shortcut is None else self.shortcut(h))
 
 
 # -- recurrent steps ----------------------------------------------------
@@ -920,10 +955,11 @@ def compile_leaves(model, rate) -> list[tuple[object, str, PlanStep]]:
 
     Returns one ``(parent, name, step)`` per leaf, the leaf being
     ``parent._modules[name]``.  Unlike :func:`compile_plan` this needs no
-    family declaration, so it covers every model (``SlicedResNet``,
-    bare layers in a container).  Modules are walked in registration
-    order, which is dataflow order for the bundled models, threading
-    what arrives at each leaf:
+    family declaration, so it also covers undeclared containers (bare
+    layers in a ``Sequential`` or a wrapper module), which parameter
+    counts and :func:`~repro.slicing.deploy.materialize_subnet` accept.
+    Modules are walked in registration order, which is dataflow order
+    for the bundled models, threading what arrives at each leaf:
 
     * the rate of the last width-controlling layer (a sliced output or a
       recurrent cell): input-sliced layers read their input width from
@@ -980,6 +1016,8 @@ def _compile_op(op: Op, profile: SliceProfile, width: int | None
             compile_layer(layer.attn, profile, in_width=width))
     if op.kind == "ffn":
         return _ffn_step(layer, profile, width)
+    if op.kind == "residual":
+        return _residual_step(op, profile, width)
     if op.kind == "mean_pool":
         return MeanPoolStep(axis=1)
     if op.kind == "global_pool":
@@ -990,6 +1028,33 @@ def _compile_op(op: Op, profile: SliceProfile, width: int | None
                    "positional", "layernorm"):
         return compile_layer(layer, profile, in_width=width, relu=op.relu)
     raise PlanError(f"no plan step for op kind {op.kind!r}")
+
+
+def _compile_ops(ops, profile: SliceProfile, width: int | None
+                 ) -> tuple[list[PlanStep], int | None]:
+    """The steps of ``ops`` in order, each fed the width its predecessor
+    emits; also returns the width the last one emits."""
+    steps: list[PlanStep] = []
+    for op in ops:
+        steps.append(_compile_op(op, profile, width))
+        width = steps[-1].out_width or width
+    return steps, width
+
+
+def _residual_step(op: Op, profile: SliceProfile, width: int
+                   ) -> ResidualStep:
+    """A pre-activation residual block at the arriving ``width``."""
+    pre, inner = _compile_ops(op.pre, profile, width)
+    body, body_width = _compile_ops(op.body, profile, inner)
+    shortcut = None if op.shortcut is None \
+        else _compile_op(op.shortcut, profile, inner)
+    skip_width = width if shortcut is None else shortcut.out_width
+    if body_width != skip_width:
+        raise PlanError(
+            f"profile gives the residual body width {body_width} but the "
+            f"shortcut width {skip_width}; both branches must emit one "
+            f"width")
+    return ResidualStep(pre, body, shortcut)
 
 
 def _dense_step(layer: SlicedLinear, profile: SliceProfile,
@@ -1028,11 +1093,7 @@ class InferencePlan:
     non-uniform ones, where no single scalar describes the plan).
     """
 
-    compiled = True
-    fallback = False
-
-    def __init__(self, model, rate, steps: list[PlanStep],
-                 family: Family | None = None):
+    def __init__(self, model, rate, steps: list[PlanStep], family: Family):
         self.model = model
         self.profile = as_profile(rate)
         self.rate = float(self.profile) if self.profile.uniform else None
@@ -1082,50 +1143,22 @@ class InferencePlan:
                 f"profile={self.profile.label()}, steps={len(self.steps)})")
 
 
-class FallbackPlan(InferencePlan):
-    """Uncompiled escape hatch: the sliced forward under ``no_grad``.
-
-    Used when the model class has no family declaration.  It reads
-    the live weights on every call, so it can never go stale.
-    """
-
-    compiled = False
-    fallback = True
-
-    def __init__(self, model, rate):
-        super().__init__(model, rate, steps=[])
-
-    def is_valid(self) -> bool:
-        return True
-
-    def run(self, inputs: np.ndarray) -> np.ndarray:
-        x = np.asarray(inputs)
-        arg = x if x.dtype.kind in "iu" \
-            else Tensor(np.ascontiguousarray(x, dtype=np.float32))
-        with no_grad(), slice_profile(self.profile):
-            out = self.model(arg)
-        return out.data if isinstance(out, Tensor) else np.asarray(out)
-
-
 def compile_plan(model, rate) -> InferencePlan:
-    """Compile ``model`` at ``rate`` (a :class:`FallbackPlan` if unknown).
+    """Compile ``model`` at ``rate``.
 
     ``rate`` may be a scalar rate or a :class:`SliceProfile`.  The steps
     follow the model's family declaration
     (:mod:`~repro.slicing.families`), each specialized for the feature
-    width its predecessor emits.
+    width its predecessor emits.  A model without a declaration raises
+    :class:`PlanError`.
     """
-    profile = as_profile(rate)
     family = family_of(model)
     if family is None:
-        if obs.enabled():
-            obs.count("plan_fallbacks_total", kind=type(model).__name__)
-        return FallbackPlan(model, profile)
-    steps: list[PlanStep] = []
-    width = None
-    for op in family.ops(model):
-        steps.append(_compile_op(op, profile, width))
-        width = steps[-1].out_width or width
+        raise PlanError(
+            f"no plan for model {type(model).__name__}: its class has no "
+            f"declaration in repro.slicing.families")
+    profile = as_profile(rate)
+    steps, _ = _compile_ops(family.ops(model), profile, None)
     return InferencePlan(model, profile, steps, family)
 
 

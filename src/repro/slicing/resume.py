@@ -50,6 +50,8 @@ and each node reads the old and the target step; no node resolves a
 profile against a layer.  Only the op kinds with a Sec. 3.5 reuse rule
 have a node class of their own (dense, conv, LSTM, attention and FFN);
 every other op runs its compiled step through the generic :class:`_Node`.
+A residual block is one :class:`_ResidualNode` over the nodes of its
+branches.
 
 Execution mirrors the live sliced forward's operation order (matmul,
 then bias, then the *unfolded* ``full_in/active_in`` rescale, then the
@@ -81,7 +83,7 @@ import numpy as np
 from ..errors import ConfigError, PlanError, SliceRateError
 from ..nn.attention import causal_mask, softmax_eval
 from ..nn.norm import layer_norm_eval
-from .families import Op, family_of
+from .families import Op
 from .plans import (
     AttentionBlockStep,
     ConvStep,
@@ -90,6 +92,7 @@ from .plans import (
     LinearStep,
     LSTMStackStep,
     PlanStep,
+    ResidualStep,
     _f32,
     _sigmoid,
     compile_plan,
@@ -676,6 +679,66 @@ class _FFNBlockNode(_Node):
         return y, True, spent, full
 
 
+class _ResidualNode(_Node):
+    """A pre-activation residual block over the nodes of its branches.
+
+    Runs, and widens, its children in a fixed order: the pre-activation,
+    the body, then the projection shortcut, each passed the changed flag
+    of what it reads (the identity shortcut reads the block input).  The
+    block output, the sum of both branches, is recomputed on every pass;
+    its prefix changed if either branch's did.
+    """
+
+    _cached = ()
+
+    def __init__(self, op: Op, step: ResidualStep):
+        super().__init__(op)
+        self.pre = [_node(o, s) for o, s in zip(op.pre, step.pre)]
+        self.body = [_node(o, s) for o, s in zip(op.body, step.body)]
+        self.skip = [] if op.shortcut is None \
+            else [_node(op.shortcut, step.shortcut)]
+
+    def _pass(self, step, x, changed_in, move):
+        """Thread ``x`` through the children; ``move(node, step, x,
+        changed)`` runs or widens one child."""
+        spent = full = 0
+
+        def chain(nodes, steps, h, changed):
+            nonlocal spent, full
+            for node, child in zip(nodes, steps):
+                h, changed, s, f = move(node, child, h, changed)
+                spent += s
+                full += f
+            return h, changed
+
+        h, pre_changed = chain(self.pre, step.pre, x, changed_in)
+        out, changed = chain(self.body, step.body, h, pre_changed)
+        if step.shortcut is None:
+            skip, skip_changed = x, changed_in
+        else:
+            skip, skip_changed = chain(self.skip, [step.shortcut], h,
+                                       pre_changed)
+        self.step = step
+        return out + skip, changed or skip_changed, spent, full
+
+    def run(self, step, x):
+        y, _, spent, full = self._pass(
+            step, x, True, lambda node, s, h, _: node.run(s, h))
+        return y, True, spent, full
+
+    def widen(self, step, x, changed_in, exact):
+        return self._pass(step, x, changed_in,
+                          lambda node, s, h, c: node.widen(s, h, c, exact))
+
+    def take_rows(self, rows) -> None:
+        # Copies first: a subset clone shares its children otherwise.
+        for attr in ("pre", "body", "skip"):
+            nodes = [copy.copy(node) for node in getattr(self, attr)]
+            for node in nodes:
+                node.take_rows(rows)
+            setattr(self, attr, nodes)
+
+
 #: Steps with a Sec. 3.5 reuse rule; every other step gets a :class:`_Node`.
 _NODES = {
     LinearStep: _LinearNode,
@@ -687,6 +750,13 @@ _NODES = {
 }
 
 
+def _node(op: Op, step: PlanStep) -> _Node:
+    """The resumable node of one compiled op."""
+    if isinstance(step, ResidualStep):
+        return _ResidualNode(op, step)
+    return _NODES.get(type(step), _Node)(op)
+
+
 # ----------------------------------------------------------------------
 # The plan
 # ----------------------------------------------------------------------
@@ -696,8 +766,8 @@ class ResumablePlan:
     Parameters
     ----------
     model:
-        A sliced model with a family declaration (MLP, NNLM, SlicedVGG,
-        TransformerEncoder, TransformerLM).
+        A sliced model with a family declaration (every bundled model;
+        others raise :class:`~repro.errors.PlanError`).
     profile:
         The starting (narrow) slice profile; scalar rates coerce.
     exact:
@@ -715,15 +785,12 @@ class ResumablePlan:
     """
 
     def __init__(self, model, profile, exact: bool = True):
-        self.family = family_of(model)
-        if self.family is None:
-            raise PlanError(
-                f"no resumable compiler for model {type(model).__name__}")
         self.model = model
         self.profile = as_profile(profile)
         self.exact = bool(exact)
         self._plan = compile_plan(model, self.profile)
-        self.nodes = [_NODES.get(type(step), _Node)(op) for op, step
+        self.family = self._plan.family
+        self.nodes = [_node(op, step) for op, step
                       in zip(self.family.ops(model), self._plan.steps)]
         self._inputs = None
         self._output = None

@@ -1,17 +1,20 @@
 """The family declaration table drives both plan kinds.
 
-Every declared family must compile to a real (non-fallback) plan and
-resume: run narrow, widen exactly to a from-scratch pass.  A new family
-is covered here by adding its declaration (and its ``--model`` demo).
+Every declared family must compile to a plan and resume: run narrow,
+widen exactly to a from-scratch pass.  A new family is covered here by
+adding its declaration (and its ``--model`` demo).  Every bundled model
+is declared; a model without a declaration has no plan.
 """
 
 import numpy as np
 import pytest
 
+import repro.models
 from repro.cli import _demo_model
 from repro.errors import PlanError
-from repro.models import SlicedResNet
-from repro.slicing import FallbackPlan, ResumablePlan, compile_plan
+from repro.models import BottleneckBlock, TransformerBlock
+from repro.nn import Module, Sequential
+from repro.slicing import PlanCache, ResumablePlan, SlicedLinear, compile_plan
 from repro.slicing.families import families, family_of
 
 
@@ -28,7 +31,7 @@ def test_declared_family_compiles_and_resumes(family, rng):
     x = _batch(row_shape, rng)
     for rate in (0.5, 1.0):
         plan = compile_plan(model, rate)
-        assert plan.compiled and not plan.fallback
+        assert plan.family is family
         assert len(plan.steps) == len(family.ops(model))
 
     resumable = ResumablePlan(model, 0.5)
@@ -50,9 +53,23 @@ def test_declared_family_compiles_and_resumes(family, rng):
             narrow.subset([0])
 
 
-def test_undeclared_family_falls_back():
-    model = SlicedResNet.cifar_mini(num_classes=4, blocks=1, seed=0)
+def test_every_bundled_model_is_declared():
+    # Blocks are parts of a model, not models.
+    parts = (BottleneckBlock, TransformerBlock)
+    exported = [getattr(repro.models, name) for name in repro.models.__all__]
+    models = [obj for obj in exported if isinstance(obj, type)
+              and issubclass(obj, Module) and obj not in parts]
+    assert len(models) == 6
+    for cls in models:
+        assert any(issubclass(cls, f.model_type) for f in families()), cls
+
+
+def test_undeclared_model_has_no_plan():
+    model = Sequential(SlicedLinear(8, 8, rng=np.random.default_rng(0)))
     assert family_of(model) is None
-    assert isinstance(compile_plan(model, 0.5), FallbackPlan)
+    with pytest.raises(PlanError, match="no plan for model Sequential"):
+        compile_plan(model, 0.5)
+    with pytest.raises(PlanError):
+        PlanCache().get(model, 0.5)
     with pytest.raises(PlanError):
         ResumablePlan(model, 0.5)

@@ -248,13 +248,16 @@ class TestResumableWidening:
         assert widened.shape == (10, 3, 61)
         assert plan.flops_saved() > 0
 
-    def test_overlong_sequence_raises_plan_error(self, lm):
-        """Resumable and compiled plans refuse a sequence longer than the
-        positional table with the same error."""
+    def test_overlong_sequence_raises_shape_error(self, lm):
+        """The live model, compiled and resumable plans refuse a sequence
+        longer than the positional table with one error."""
         tokens = np.zeros((17, 2), dtype=np.int64)  # max_seq is 16
-        with pytest.raises(PlanError, match="positional"):
+        message = "sequence length 17 exceeds max_seq 16"
+        with pytest.raises(ShapeError, match=message), no_grad():
+            lm(tokens)
+        with pytest.raises(ShapeError, match=message):
             compile_plan(lm, 1.0).run(tokens)
-        with pytest.raises(PlanError, match="positional"):
+        with pytest.raises(ShapeError, match=message):
             ResumablePlan(lm, 1.0).run(tokens)
 
 
