@@ -230,122 +230,24 @@ def _runtime_demo_model(args, rates):
     return model, inputs, labels, accuracy
 
 
-def _cmd_runtime_workers(args) -> int:
-    """``repro runtime --workers N``: true-parallel process serving demo.
+def _cmd_runtime(args) -> int:
+    """``repro runtime``: elastic slicing vs fixed profiles (Sec. 4.1).
 
-    Builds the demo model (``--model``: the trained demo MLP or the
-    seeded sliced-attention transformer encoder), moves its weights into
-    a shared-memory arena (:meth:`Module.share_memory`), and serves the
-    arrival trace
-    through ``N`` real worker processes — real predictions computed in
-    the workers, simulated clock in the parent.  With ``--trace``, each
-    worker writes its own JSONL next to the parent's; merge them with
-    ``repro obs summarize 'TRACE*'``.
-    """
-    import numpy as np
+    Serves one volatile arrival trace (with one injected replica crash
+    unless ``--no-faults``) three ways and prints one result table.  The
+    elastic policy is the paper's slice-rate controller, or with
+    ``--cascade`` a confidence cascade that starts every request at the
+    cheapest stage and escalates low-margin rows; the two others are the
+    fixed widest and narrowest profiles.
 
-    from . import obs
-    from .runtime import (
-        FaultPlan,
-        InferenceRuntime,
-        LatencyProfile,
-        ProcessReplicaPool,
-        RuntimeConfig,
-        format_seconds,
-    )
-    from .serving import (
-        FixedRateController,
-        SliceRateController,
-        diurnal_rate,
-        generate_arrivals,
-        spike_rate,
-    )
-
-    rates = [0.25, 0.5, 0.75, 1.0]
-    full_latency, slo = 0.002, 0.1
-    model, inputs, labels, accuracy = _runtime_demo_model(args, rates)
-
-    intensity = spike_rate(
-        diurnal_rate(args.base_rate, args.peak_ratio, 60.0),
-        [(args.duration * 0.25, args.duration * 0.1, 2.0)])
-    arrivals = generate_arrivals(intensity, args.duration,
-                                 np.random.default_rng(args.seed))
-    crash_id = f"w{min(1, args.workers - 1)}"
-    plan = FaultPlan() if args.no_faults else FaultPlan.single_crash(
-        crash_id, args.crash_time if args.crash_time is not None
-        else args.duration * 0.3)
-    print(f"{len(arrivals)} queries over {args.duration}s, "
-          f"{args.workers} worker processes over one shared-memory "
-          f"arena, faults={'none' if args.no_faults else 'one crash'}\n")
-    if args.trace:
-        obs.configure(trace_path=args.trace, clock=obs.TickClock())
-
-    controllers = {
-        "model slicing": SliceRateController(rates, full_latency, slo),
-        "fixed full": FixedRateController(1.0, full_latency, slo),
-        "fixed small": FixedRateController(0.25, full_latency, slo),
-    }
-    print(f"{'policy':<14} {'dropped':>8} {'goodput':>9} {'p50':>8} "
-          f"{'p99':>8} {'measured':>9} {'good*acc':>9}")
-    elastic_report = None
-    worker_requests: dict[str, dict] = {}
-    for name, controller in controllers.items():
-        slug = name.replace(" ", "-")
-        traces = [f"{args.trace}.{slug}.w{i}.jsonl"
-                  for i in range(args.workers)] if args.trace else None
-        pool = ProcessReplicaPool(
-            model, args.workers, LatencyProfile(full_latency),
-            dispatch=args.dispatch, seed=args.seed, trace_paths=traces)
-        try:
-            pool.warm_plans(rates)
-            config = RuntimeConfig(latency_slo=slo, max_batch_size=400,
-                                   batch_timeout=args.batch_timeout,
-                                   dispatch=args.dispatch, seed=args.seed)
-            runtime = InferenceRuntime(pool, controller, config, accuracy,
-                                       fault_plan=plan, inputs=inputs,
-                                       labels=labels)
-            with obs.span("runtime.policy", policy=name):
-                report = runtime.run(arrivals, args.duration)
-            worker_requests[name] = {
-                stats["worker"]: stats["requests"]
-                for stats in pool.worker_stats()}
-        finally:
-            pool.shutdown()
-        if name == "model slicing":
-            elastic_report = report
-        tails = report.latency_percentiles()
-        measured = report.measured_accuracy
-        print(f"{name:<14} {report.drop_fraction:>8.2%} "
-              f"{report.goodput:>9.1f} {format_seconds(tails['p50']):>8} "
-              f"{format_seconds(tails['p99']):>8} "
-              f"{'-' if measured is None else f'{measured:>9.3f}'} "
-              f"{report.goodput_weighted_accuracy:>9.3f}")
-    print("\nrequests served per worker process:")
-    for name, counts in worker_requests.items():
-        shares = " ".join(f"{worker}={count}"
-                          for worker, count in sorted(counts.items()))
-        print(f"  {name:<14} {shares}")
-    if args.json and elastic_report is not None:
-        with open(args.json, "w") as handle:
-            handle.write(elastic_report.to_json())
-        print(f"\nelastic policy telemetry written to {args.json}")
-    if args.trace:
-        obs.shutdown()
-        print(f"observability traces written to {args.trace}* "
-              f"(merge with: repro obs summarize '{args.trace}*')")
-    return 0
-
-
-def _cmd_runtime_cascade(args) -> int:
-    """``repro runtime --cascade``: confidence-cascade serving demo.
-
-    Trains the seeded demo MLP (planted easy/hard regions), then serves
-    the same arrival trace three ways — the cascade (start every
-    request at the cheapest stage, escalate low-margin rows via
-    ResumablePlan.widen) and the fixed cheapest/widest profiles — and
-    prints measured accuracy, FLOPs per request and escalation stats.
-    Fully deterministic under one seed; ``--trace`` uses the TickClock
-    so the JSONL is byte-identical across runs.
+    ``--workers N`` serves through ``N`` real worker processes over a
+    shared-memory weight arena (real predictions in the workers,
+    simulated clock in the parent; with ``--trace`` each worker writes
+    its own JSONL next to the parent's).  Otherwise ``--replicas`` simulated
+    replicas serve in-process; they run the model only under
+    ``--cascade``.  Every mode is deterministic under one seed, and
+    ``--trace`` uses the TickClock so the JSONL is byte-identical across
+    runs.
     """
     import numpy as np
 
@@ -366,65 +268,127 @@ def _cmd_runtime_cascade(args) -> int:
     from .serving import (
         CascadeController,
         FixedRateController,
+        SliceRateController,
         diurnal_rate,
         generate_arrivals,
         spike_rate,
     )
 
-    full_latency, slo = 0.002, 0.1
-    rates = list(DEMO_RATES)
+    if args.replicas < 1:
+        print("--replicas must be >= 1", file=sys.stderr)
+        return 2
+    if args.workers < 0:
+        print("--workers must be >= 0", file=sys.stderr)
+        return 2
+    rates = list(DEMO_RATES) if args.cascade else [0.25, 0.5, 0.75, 1.0]
     thresholds = args.cascade_thresholds or [1.0] * (len(rates) - 1)
-    if len(thresholds) != len(rates) - 1:
+    if args.cascade and len(thresholds) != len(rates) - 1:
         print(f"--cascade-thresholds needs {len(rates) - 1} values "
               f"(stages {rates[:-1]})", file=sys.stderr)
         return 2
-    # Measured per-rate accuracy on the eval split doubles as the
-    # runtime's expected-accuracy table.
-    model, inputs, labels, accuracy = _runtime_demo_model(args, rates)
+    full_latency, slo = 0.002, 0.1
 
-    stages = [CascadeStage(rate, threshold) for rate, threshold
-              in zip(rates[:-1], thresholds)]
-    stages.append(CascadeStage(rates[-1]))
-    # The MLP demo resumes its escalations exactly (Sec. 3.5), so the
-    # madds-priced simulated clock shows the reuse.  Transformer plans do
-    # not support row subsetting (attention couples the batch axis), so
-    # their escalated rows recompute on cached compiled plans.
-    executor = CascadeExecutor(model, stages, incremental=args.model != "tenc")
-    cost = {rate: full_latency * rate * rate for rate in rates}
-    # High-margin exits at a cheap stage are far more accurate than the
-    # stage's marginal accuracy: calibrate the cascade's per-stage exit
-    # accuracy on the eval split (the table its runtime reports against).
-    calibrated = executor.calibrate(inputs, labels)
-
+    # The model and its measured per-rate accuracy on the eval split,
+    # which doubles as the runtime's expected-accuracy table.  Plain
+    # in-process replicas are simulated and hold no model.
+    model = inputs = labels = None
+    if args.cascade or args.workers:
+        model, inputs, labels, accuracy = _runtime_demo_model(args, rates)
+    elif args.model == "tenc":
+        # Replicas are simulated here, but the expected-accuracy table
+        # is measured on the real encoder (fidelity to full width).
+        accuracy = _runtime_demo_model(args, rates)[3]
+    else:
+        accuracy = {0.25: 0.62, 0.5: 0.85, 0.75: 0.91, 1.0: 0.94}
     intensity = spike_rate(
         diurnal_rate(args.base_rate, args.peak_ratio, 60.0),
         [(args.duration * 0.25, args.duration * 0.1, 2.0)])
     arrivals = generate_arrivals(intensity, args.duration,
                                  np.random.default_rng(args.seed))
-    crash_id = f"w{min(1, args.workers - 1)}" if args.workers \
-        else f"r{min(1, args.replicas - 1)}"
+    prefix, hosts = ("w", args.workers) if args.workers \
+        else ("r", args.replicas)
+    crash_id = f"{prefix}{min(1, hosts - 1)}"  # must exist in the pool
     plan = FaultPlan() if args.no_faults else FaultPlan.single_crash(
         crash_id, args.crash_time if args.crash_time is not None
         else args.duration * 0.3)
-    hosts = (f"{args.workers} worker processes" if args.workers
-             else f"{args.replicas} replicas")
-    print(f"{len(arrivals)} queries over {args.duration}s, "
-          f"{hosts}, stages "
-          f"{[s.label() for s in stages]}, thresholds {thresholds}\n")
+
+    # name -> (controller, cascade executor or None, accuracy table).
+    # What the modes print differently is data: the intro, the table's
+    # columns, the per-worker request block and the epilogue.
+    fixed = {
+        "fixed full": (FixedRateController(rates[-1], full_latency, slo),
+                       None, accuracy),
+        "fixed small": (FixedRateController(rates[0], full_latency, slo),
+                        None, accuracy),
+    }
+    served = (f"{args.workers} worker processes" if args.workers
+              else f"{args.replicas} replicas")
+    if args.cascade:
+        stages = [CascadeStage(rate, threshold) for rate, threshold
+                  in zip(rates[:-1], thresholds)]
+        stages.append(CascadeStage(rates[-1]))
+        # The MLP demo resumes its escalations exactly (Sec. 3.5), so
+        # the madds-priced simulated clock shows the reuse.  Transformer
+        # plans do not support row subsetting (attention couples the
+        # batch axis), so their escalated rows recompute on cached
+        # compiled plans.
+        executor = CascadeExecutor(model, stages,
+                                   incremental=args.model != "tenc")
+        cost = {rate: full_latency * rate * rate for rate in rates}
+        # High-margin exits at a cheap stage are far more accurate than
+        # the stage's marginal accuracy: calibrate the cascade's
+        # per-stage exit accuracy on the eval split (the table its
+        # runtime reports against).
+        policies = {"cascade": (CascadeController(rates, cost, slo),
+                                executor, executor.calibrate(inputs, labels)),
+                    **fixed}
+        intro = (f"{served}, stages {[s.label() for s in stages]}, "
+                 f"thresholds {thresholds}")
+        columns = ["dropped", "goodput", "p99", "good*acc", "measured",
+                   "escalated"]
+        name_width, telemetry = 12, "cascade"
+    else:
+        policies = {"model slicing": (
+            SliceRateController(rates, full_latency, slo), None, accuracy),
+            **fixed}
+        arena = " over one shared-memory arena" if args.workers else ""
+        intro = (f"{served}{arena}, "
+                 f"faults={'none' if args.no_faults else 'one crash'}")
+        columns = ["dropped", "goodput", "p50", "p99",
+                   "measured" if args.workers else "retries", "good*acc"]
+        name_width, telemetry = 14, "elastic"
+    # Only the plain worker demo warms per-rate plans up front and
+    # reports requests per worker and a multi-file trace.
+    worker_demo = bool(args.workers) and not args.cascade
+    print(f"{len(arrivals)} queries over {args.duration}s, {intro}\n")
     if args.trace:
+        # TickClock: the trace stays byte-identical across runs (the
+        # engine stamps simulated time; everything else counts ticks).
         obs.configure(trace_path=args.trace, clock=obs.TickClock())
 
-    policies = {
-        "cascade": (CascadeController(rates, cost, slo), executor),
-        "fixed full": (FixedRateController(rates[-1], full_latency, slo),
-                       None),
-        "fixed small": (FixedRateController(rates[0], full_latency, slo),
-                        None),
+    # column -> (width, format spec, value of a report); None prints "-"
+    table_columns = {
+        "dropped": (8, ".2%", lambda report: report.drop_fraction),
+        "goodput": (9, ".1f", lambda report: report.goodput),
+        "p50": (8, "", lambda report: format_seconds(
+            report.latency_percentiles()["p50"])),
+        "p99": (8, "", lambda report: format_seconds(
+            report.latency_percentiles()["p99"])),
+        "retries": (8, "", lambda report: report.retries),
+        "measured": (9, ".3f", lambda report: report.measured_accuracy),
+        "good*acc": (9, ".3f",
+                     lambda report: report.goodput_weighted_accuracy),
+        "escalated": (10, ".2%",
+                      lambda report: report.escalation_fraction),
     }
-    print(f"{'policy':<12} {'dropped':>8} {'goodput':>9} {'p99':>8} "
-          f"{'good*acc':>9} {'measured':>9} {'escalated':>10}")
-    cascade_report = None
-    for name, (controller, cascade) in policies.items():
+    print(f"{'policy':<{name_width}}" + "".join(
+        f" {column:>{table_columns[column][0]}}" for column in columns))
+    config = RuntimeConfig(latency_slo=slo, max_batch_size=400,
+                           batch_timeout=args.batch_timeout,
+                           dispatch=args.dispatch, seed=args.seed)
+    reports = {}
+    worker_requests: dict[str, dict] = {}
+    for name, (controller, cascade, table) in policies.items():
         if args.workers:
             slug = name.replace(" ", "-")
             traces = [f"{args.trace}.{slug}.w{i}.jsonl"
@@ -440,130 +404,45 @@ def _cmd_runtime_cascade(args) -> int:
         try:
             if cascade is not None:
                 pool.warm_cascade(cascade)
-            config = RuntimeConfig(latency_slo=slo, max_batch_size=400,
-                                   batch_timeout=args.batch_timeout,
-                                   dispatch=args.dispatch, seed=args.seed)
-            runtime = InferenceRuntime(
-                pool, controller, config,
-                calibrated if cascade is not None else accuracy,
-                fault_plan=plan, inputs=inputs, labels=labels,
-                cascade=cascade)
+            elif worker_demo:
+                pool.warm_plans(rates)
+            runtime = InferenceRuntime(pool, controller, config, table,
+                                       fault_plan=plan, inputs=inputs,
+                                       labels=labels, cascade=cascade)
             with obs.span("runtime.policy", policy=name):
-                report = runtime.run(arrivals, args.duration)
+                reports[name] = report = runtime.run(arrivals,
+                                                     args.duration)
+            if worker_demo:
+                worker_requests[name] = {
+                    stats["worker"]: stats["requests"]
+                    for stats in pool.worker_stats()}
         finally:
             pool.shutdown()
-        if name == "cascade":
-            cascade_report = report
-        tails = report.latency_percentiles()
-        escalated = report.escalation_fraction
-        measured = report.measured_accuracy
-        print(f"{name:<12} {report.drop_fraction:>8.2%} "
-              f"{report.goodput:>9.1f} {format_seconds(tails['p99']):>8} "
-              f"{report.goodput_weighted_accuracy:>9.3f} "
-              f"{'-' if measured is None else f'{measured:>9.3f}'} "
-              f"{'-' if escalated is None else f'{escalated:>10.2%}'}")
-    if args.json and cascade_report is not None:
+        cells = []
+        for column in columns:
+            width, spec, value_of = table_columns[column]
+            value = value_of(report)
+            cells.append("-" if value is None
+                         else format(value, f">{width}{spec}"))
+        print(f"{name:<{name_width}} " + " ".join(cells))
+    if worker_requests:
+        print("\nrequests served per worker process:")
+        for name, counts in worker_requests.items():
+            shares = " ".join(f"{worker}={count}"
+                              for worker, count in sorted(counts.items()))
+            print(f"  {name:<14} {shares}")
+    if args.json:
         with open(args.json, "w") as handle:
-            handle.write(cascade_report.to_json())
-        print(f"\ncascade policy telemetry written to {args.json}")
+            handle.write(reports[next(iter(policies))].to_json())
+        print(f"\n{telemetry} policy telemetry written to {args.json}")
     if args.trace:
         obs.shutdown()
-        print(f"observability trace written to {args.trace} "
-              f"(inspect with: repro obs summarize {args.trace})")
-    return 0
-
-
-def _cmd_runtime(args) -> int:
-    import numpy as np
-
-    from . import obs
-    from .runtime import (
-        FaultPlan,
-        InferenceRuntime,
-        LatencyProfile,
-        Replica,
-        ReplicaPool,
-        RuntimeConfig,
-        format_seconds,
-    )
-    from .serving import (
-        FixedRateController,
-        SliceRateController,
-        diurnal_rate,
-        generate_arrivals,
-        spike_rate,
-    )
-
-    if args.replicas < 1:
-        print("--replicas must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers < 0:
-        print("--workers must be >= 0", file=sys.stderr)
-        return 2
-    if args.cascade:
-        return _cmd_runtime_cascade(args)
-    if args.workers:
-        return _cmd_runtime_workers(args)
-    rates = [0.25, 0.5, 0.75, 1.0]
-    if args.model == "tenc":
-        # Replicas are simulated here, but the expected-accuracy table
-        # is measured on the real encoder (fidelity to full width).
-        _, _, _, accuracy = _runtime_demo_model(args, rates)
-    else:
-        accuracy = {0.25: 0.62, 0.5: 0.85, 0.75: 0.91, 1.0: 0.94}
-    full_latency, slo = 0.002, 0.1
-    intensity = spike_rate(
-        diurnal_rate(args.base_rate, args.peak_ratio, 60.0),
-        [(args.duration * 0.25, args.duration * 0.1, 2.0)])
-    arrivals = generate_arrivals(intensity, args.duration,
-                                 np.random.default_rng(args.seed))
-    crash_id = f"r{min(1, args.replicas - 1)}"  # must exist in the pool
-    plan = FaultPlan() if args.no_faults else FaultPlan.single_crash(
-        crash_id, args.crash_time if args.crash_time is not None
-        else args.duration * 0.3)
-    print(f"{len(arrivals)} queries over {args.duration}s, "
-          f"{args.replicas} replicas, "
-          f"faults={'none' if args.no_faults else 'one crash'}\n")
-    if args.trace:
-        # TickClock: the trace stays byte-identical across runs (the
-        # engine stamps simulated time; everything else counts ticks).
-        obs.configure(trace_path=args.trace, clock=obs.TickClock())
-
-    controllers = {
-        "model slicing": SliceRateController(rates, full_latency, slo),
-        "fixed full": FixedRateController(1.0, full_latency, slo),
-        "fixed small": FixedRateController(0.25, full_latency, slo),
-    }
-    print(f"{'policy':<14} {'dropped':>8} {'goodput':>9} {'p50':>8} "
-          f"{'p99':>8} {'retries':>8} {'good*acc':>9}")
-    elastic_report = None
-    for name, controller in controllers.items():
-        pool = ReplicaPool(
-            [Replica(f"r{i}", LatencyProfile(full_latency))
-             for i in range(args.replicas)],
-            dispatch=args.dispatch, seed=args.seed)
-        config = RuntimeConfig(latency_slo=slo, max_batch_size=400,
-                               batch_timeout=args.batch_timeout,
-                               dispatch=args.dispatch, seed=args.seed)
-        runtime = InferenceRuntime(pool, controller, config, accuracy,
-                                   fault_plan=plan)
-        with obs.span("runtime.policy", policy=name):
-            report = runtime.run(arrivals, args.duration)
-        if name == "model slicing":
-            elastic_report = report
-        tails = report.latency_percentiles()
-        print(f"{name:<14} {report.drop_fraction:>8.2%} "
-              f"{report.goodput:>9.1f} {format_seconds(tails['p50']):>8} "
-              f"{format_seconds(tails['p99']):>8} {report.retries:>8} "
-              f"{report.goodput_weighted_accuracy:>9.3f}")
-    if args.json and elastic_report is not None:
-        with open(args.json, "w") as handle:
-            handle.write(elastic_report.to_json())
-        print(f"\nelastic policy telemetry written to {args.json}")
-    if args.trace:
-        obs.shutdown()
-        print(f"observability trace written to {args.trace} "
-              f"(inspect with: repro obs summarize {args.trace})")
+        if worker_demo:
+            print(f"observability traces written to {args.trace}* "
+                  f"(merge with: repro obs summarize '{args.trace}*')")
+        else:
+            print(f"observability trace written to {args.trace} "
+                  f"(inspect with: repro obs summarize {args.trace})")
     return 0
 
 

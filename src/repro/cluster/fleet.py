@@ -74,14 +74,11 @@ class Fleet:
 
     def __init__(self, nodes, table: CostTable, spec=None,
                  latency_profile=None, replicas_per_node: int | None = None,
-                 dispatch: str = "least-loaded", seed: int = 0,
-                 backend: str = "thread", model=None):
+                 dispatch: str = "least-loaded", seed: int = 0):
         if dispatch not in DISPATCH_POLICIES:
             raise ServingError(
                 f"unknown dispatch {dispatch!r}; choose from "
                 f"{DISPATCH_POLICIES}")
-        if backend == "process" and model is None:
-            raise ServingError("backend='process' needs a model to share")
         self.nodes: list[Node] = list(nodes)
         self.table = table
         self.spec = spec
@@ -89,8 +86,6 @@ class Fleet:
         self.replicas_per_node = replicas_per_node
         self.dispatch = dispatch
         self.seed = seed
-        self.backend = backend
-        self.model = model
         self._provisioned = len(self.nodes)
 
     # -- views ----------------------------------------------------------
@@ -134,8 +129,7 @@ class Fleet:
             node = Node(f"n{self._provisioned}", self.spec,
                         self.latency_profile, self.replicas_per_node,
                         state=NODE_BOOTING, ready_at=ready_at,
-                        seed=self.seed, backend=self.backend,
-                        model=self.model)
+                        seed=self.seed)
             self._provisioned += 1
             self.nodes.append(node)
             added.append(node)

@@ -336,13 +336,16 @@ class NodeSpec:
 
 
 class Node:
-    """One machine in the fleet, hosting a pool of calibrated replicas."""
+    """One machine in the fleet, hosting a pool of calibrated replicas.
+
+    The replicas are simulated: they advance the clock by their
+    calibrated latency and run no model.
+    """
 
     def __init__(self, node_id: str, spec: NodeSpec,
                  latency_profile: LatencyProfile, replicas: int,
                  state: str = NODE_ACTIVE, ready_at: int = 0,
-                 model=None, seed: int = 0, backend: str = "thread",
-                 pool_kwargs: Mapping | None = None):
+                 seed: int = 0):
         if replicas < 1:
             raise ServingError("a node hosts at least one replica")
         if replicas > spec.max_replicas:
@@ -355,28 +358,10 @@ class Node:
         self.state = state
         self.ready_at = ready_at        # window index the node boots at
         self.in_flight = 0              # requests assigned, not yet done
-        self.backend = backend
-        if backend == "process":
-            # Simulated replica counts map to real worker processes
-            # over one shared-memory arena per node.
-            from ..runtime.workers import ProcessReplicaPool
-
-            if model is None:
-                raise ServingError(
-                    "backend='process' needs a model to share")
-            self.pool = ProcessReplicaPool(
-                model, replicas, latency_profile, seed=seed,
-                name_prefix=f"{self.node_id}/", **dict(pool_kwargs or {}))
-        elif backend == "thread":
-            self.pool = ReplicaPool(
-                [Replica(f"{self.node_id}/r{i}", latency_profile,
-                         model=model)
-                 for i in range(replicas)],
-                seed=seed)
-        else:
-            raise ServingError(
-                f"unknown node backend {backend!r}; choose from "
-                f"('thread', 'process')")
+        self.pool = ReplicaPool(
+            [Replica(f"{self.node_id}/r{i}", latency_profile)
+             for i in range(replicas)],
+            seed=seed)
 
     def __repr__(self) -> str:
         return (f"Node({self.node_id!r}, {self.state}, "
@@ -406,18 +391,12 @@ class Node:
         self.state = NODE_DRAINING
 
     def retire(self) -> None:
-        """Release the machine — only once nothing is in flight.
-
-        Process-backed nodes stop their worker processes and unlink the
-        shared-memory arena (the pool's ``shutdown`` is a no-op for the
-        in-process backend).
-        """
+        """Release the machine — only once nothing is in flight."""
         if self.in_flight > 0:
             raise ServingError(
                 f"{self.node_id} still has {self.in_flight} requests "
                 "in flight; drain must never evict them")
         self.state = NODE_RETIRED
-        self.pool.shutdown()
 
     # -- capacity -------------------------------------------------------
     def capacity_qps(self, cost: ProfileCost) -> float:

@@ -29,7 +29,7 @@ from .replica import LatencyProfile, Replica
 from .pool import ReplicaPool
 from .faults import FaultEvent, FaultPlan
 from .cascade import CascadeExecutor, CascadeResult, CascadeStage, margins_of
-from .workers import POOL_BACKENDS, ProcessReplicaPool, WorkerReplica, build_pool
+from .workers import ProcessReplicaPool, WorkerReplica
 from .engine import InferenceRuntime, RuntimeConfig
 
 __all__ = [
@@ -55,10 +55,8 @@ __all__ = [
     "CascadeResult",
     "CascadeExecutor",
     "margins_of",
-    "POOL_BACKENDS",
     "ProcessReplicaPool",
     "WorkerReplica",
-    "build_pool",
     "InferenceRuntime",
     "RuntimeConfig",
 ]

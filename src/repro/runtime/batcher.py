@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..errors import ServingError
+from .cascade import CascadeResult
 from .queue import AdmissionQueue
 from .telemetry import RequestTrace
 
@@ -35,11 +36,16 @@ def _leq(a, b) -> bool:
 
 @dataclass
 class Batch:
-    """A closed batch: the requests, the chosen slice rate, and when."""
+    """A closed batch: the requests, the chosen slice rate, and when.
+
+    ``cascade_result`` is set when a cascade serves the batch, at
+    dispatch, and read back when the batch completes.
+    """
 
     requests: list[RequestTrace]
     rate: float
     formed_at: float
+    cascade_result: CascadeResult | None = None
 
     def __len__(self) -> int:
         return len(self.requests)

@@ -272,9 +272,8 @@ class InferenceRuntime:
                    (replica.replica_id, token, batch, cause))
 
     def _complete(self, batch: Batch, replica, now: float) -> None:
-        result = getattr(batch, "cascade_result", None)
-        if result is not None:
-            self._complete_cascade(batch, result, now)
+        if batch.cascade_result is not None:
+            self._complete_cascade(batch, batch.cascade_result, now)
             return
         predictions = None
         if self.inputs is not None:

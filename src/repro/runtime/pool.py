@@ -32,9 +32,6 @@ DISPATCH_POLICIES = ("least-loaded", "power-of-two")
 class ReplicaPool:
     """An ordered set of replicas with a dispatch policy."""
 
-    #: Serving backend tag; the process-backed subclass overrides it.
-    backend = "thread"
-
     def __init__(self, replicas: Iterable[Replica],
                  dispatch: str = "least-loaded", seed: int = 0):
         self.replicas = list(replicas)
@@ -133,11 +130,12 @@ class ReplicaPool:
 
     # -- lifecycle -------------------------------------------------------
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Release pool resources; a no-op for the in-process backend.
+        """Release pool resources; a no-op for in-process replicas.
 
         Exists so callers (cluster nodes, the CLI) can tear any pool
-        down uniformly — the process backend overrides this to stop its
-        workers and unlink the shared-memory arena.
+        down uniformly — :class:`~repro.runtime.workers.ProcessReplicaPool`
+        overrides this to stop its workers and unlink the shared-memory
+        arena.
         """
 
     def __enter__(self) -> "ReplicaPool":

@@ -3,10 +3,9 @@
 Each replica advances the simulated clock with a *calibrated* latency
 model — per-sample service time per slice rate, ideally the measured
 p95 from :func:`repro.metrics.latency_table` — while optionally
-executing a *real* sliced model (or per-rate
-:func:`~repro.slicing.deploy.materialize_subnet` artifacts) on the
-request payloads, so the runtime produces genuine predictions without
-wall-clock noise leaking into the (deterministic) telemetry.
+executing a *real* sliced model through its compiled inference plans on
+the request payloads, so the runtime produces genuine predictions
+without wall-clock noise leaking into the (deterministic) telemetry.
 
 Fault state lives on the replica: crashes, slowdown windows, and
 transient-timeout windows set by :mod:`repro.runtime.faults` change how
@@ -24,7 +23,6 @@ from ..errors import ServingError
 from ..slicing.context import validate_rate
 from ..slicing.plans import PlanCache, shared_cache
 from ..slicing.profile import SliceProfile, as_profile
-from ..tensor import Tensor, no_grad
 
 STATE_HEALTHY = "healthy"
 STATE_CRASHED = "crashed"
@@ -104,12 +102,10 @@ class Replica:
     """One server in the pool, with its own calibration and fault state."""
 
     def __init__(self, replica_id: str, profile: LatencyProfile,
-                 model=None, artifacts: Mapping[float, object] | None = None,
-                 plan_cache: PlanCache | None = None):
+                 model=None, plan_cache: PlanCache | None = None):
         self.replica_id = str(replica_id)
         self.profile = profile
         self.model = model
-        self.artifacts = dict(artifacts or {})
         self.plan_cache = plan_cache
         self.state = STATE_HEALTHY
         self.busy_until = 0.0
@@ -177,38 +173,23 @@ class Replica:
             else shared_cache()
 
     def warm_plans(self, rates) -> int:
-        """Pre-compile inference plans for ``rates``; returns plans ensured.
-
-        Rates already covered by a materialized artifact are skipped —
-        artifacts win over plans in :meth:`predict`.
-        """
+        """Pre-compile inference plans for ``rates``; returns plans ensured."""
         if self.model is None:
             return 0
         warmed = 0
         for rate in rates:
-            profile = as_profile(rate)
-            if profile in self.artifacts:
-                continue
-            self._cache().get(self.model, profile)
+            self._cache().get(self.model, as_profile(rate))
             warmed += 1
         return warmed
 
     def predict(self, inputs: np.ndarray, rate) -> np.ndarray | None:
         """Class predictions for ``inputs`` at ``rate`` (None if no model).
 
-        ``rate`` may be a scalar or a slice profile.  Prefers a
-        materialized per-rate artifact (a deployed standalone subnet);
-        otherwise serves through the compiled inference plan for
-        ``(model, rate)`` (see :mod:`repro.slicing.plans`).
+        ``rate`` may be a scalar or a slice profile.  Serves through the
+        compiled inference plan for ``(model, rate)`` (see
+        :mod:`repro.slicing.plans`).
         """
-        profile = as_profile(rate)
-        if profile in self.artifacts:
-            batch = Tensor(np.asarray(inputs, dtype=np.float32))
-            with no_grad():
-                logits = self.artifacts[profile](batch).data
-        elif self.model is None:
+        if self.model is None:
             return None
-        else:
-            plan = self._cache().get(self.model, profile)
-            logits = plan.run(np.asarray(inputs))
-        return np.argmax(logits, axis=-1)
+        plan = self._cache().get(self.model, as_profile(rate))
+        return np.argmax(plan.run(np.asarray(inputs)), axis=-1)

@@ -90,10 +90,7 @@ from .cascade import CascadeExecutor, CascadeResult
 from .pool import ReplicaPool
 from .replica import STATE_CRASHED, LatencyProfile, Replica
 
-__all__ = ["WorkerBoot", "WorkerReplica", "ProcessReplicaPool",
-           "build_pool", "POOL_BACKENDS"]
-
-POOL_BACKENDS = ("thread", "process")
+__all__ = ["WorkerBoot", "WorkerReplica", "ProcessReplicaPool"]
 
 #: Environment variable overriding the multiprocessing start method
 #: ("fork" where available, else "spawn").
@@ -189,7 +186,6 @@ class WorkerBoot:
     obs_enabled: bool = False
     trace_path: str | None = None
     tick_clock: bool = False
-    plan_capacity: int = 32
     model: object | None = None       # fork: inherited by reference
     model_factory: Callable | None = None         # spawn: rebuilt locally
 
@@ -221,7 +217,7 @@ def _worker_main(boot: WorkerBoot, conn) -> None:
     arena.adopt(model)
     label = f"w{boot.index}"
     replica = Replica(label, LatencyProfile(1.0), model=model,
-                      plan_cache=PlanCache(boot.plan_capacity))
+                      plan_cache=PlanCache())
     profiles: dict[int, SliceProfile] = {}     # interned by the parent
     executor = None
     served = 0
@@ -482,16 +478,12 @@ class ProcessReplicaPool(ReplicaPool):
         arenas the pool created).
     """
 
-    backend = "process"
-
     def __init__(self, model, workers: int,
                  latency_profile: LatencyProfile | None = None,
                  dispatch: str = "least-loaded", seed: int = 0,
                  arena: SharedArena | None = None,
                  model_factory: Callable | None = None,
                  start_method: str | None = None,
-                 plan_cache_capacity: int = 32,
-                 name_prefix: str = "",
                  trace_paths: Sequence[str] | None = None):
         if workers < 1:
             raise ServingError("pool needs at least one worker")
@@ -543,7 +535,6 @@ class ProcessReplicaPool(ReplicaPool):
                         index=index, manifest=self.arena.manifest,
                         seed=seed, env=env, obs_enabled=obs_on,
                         trace_path=wpath, tick_clock=tick,
-                        plan_capacity=plan_cache_capacity,
                         model=model if method == "fork" else None,
                         model_factory=(None if method == "fork"
                                        else model_factory))
@@ -558,7 +549,7 @@ class ProcessReplicaPool(ReplicaPool):
                     self._handles.append(handle)
                     replicas.append(WorkerReplica(
                         handle, profile, self,
-                        replica_id=f"{name_prefix}w{index}"))
+                        replica_id=f"w{index}"))
             super().__init__(replicas, dispatch=dispatch, seed=seed)
         except Exception:
             self.shutdown()
@@ -681,31 +672,3 @@ class ProcessReplicaPool(ReplicaPool):
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-
-def build_pool(model, replicas: int, latency_profile: LatencyProfile,
-               backend: str = "thread", dispatch: str = "least-loaded",
-               seed: int = 0, name_prefix: str = "",
-               **process_kwargs) -> ReplicaPool:
-    """Build a serving pool over ``model``: in-process or multi-process.
-
-    ``backend="thread"`` returns the classic in-process
-    :class:`ReplicaPool` (every replica shares the model object;
-    simulated-time only, GIL-bound).  ``backend="process"`` returns a
-    :class:`ProcessReplicaPool` (shared-memory arena + worker
-    processes; true parallelism).  Replica ids are ``w0..wN-1`` either
-    way, so telemetry is backend-comparable.
-    """
-    if backend not in POOL_BACKENDS:
-        raise ServingError(
-            f"unknown pool backend {backend!r}; choose from {POOL_BACKENDS}")
-    if backend == "process":
-        return ProcessReplicaPool(model, replicas, latency_profile,
-                                  dispatch=dispatch, seed=seed,
-                                  name_prefix=name_prefix, **process_kwargs)
-    if process_kwargs:
-        raise ServingError(
-            f"{sorted(process_kwargs)} only apply to the process backend")
-    return ReplicaPool(
-        [Replica(f"{name_prefix}w{index}", latency_profile, model=model)
-         for index in range(replicas)],
-        dispatch=dispatch, seed=seed)

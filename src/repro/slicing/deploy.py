@@ -166,7 +166,7 @@ def materialize_subnet(model: Module, rate) -> Module:
     PlanError
         If a layer cannot run at ``rate`` (e.g. a
         :class:`~repro.slicing.layers.MultiBatchNorm2d` with no branch
-        for it).
+        for the width that arrives).
     """
     clone = copy.deepcopy(model)
     leaves = plans.compile_leaves(clone, rate)

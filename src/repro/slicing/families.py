@@ -42,9 +42,8 @@ class Op:
 
     ``kind`` selects the compiled step; ``layer`` is the module
     the weights come from (the whole transformer block for the
-    ``attention`` and ``ffn`` halves); ``relu`` fuses a trailing ReLU;
-    ``source`` is the module whose slice point sets the rate of a layer
-    without one of its own (the conv feeding a norm).
+    ``attention`` and ``ffn`` halves); ``relu`` fuses a trailing ReLU.
+    Norms run at the width that arrives, so no op names a rate.
 
     A ``residual`` op computes ``body(pre(x)) + shortcut``: ``pre`` is
     the pre-activation, ``body`` the residual branch, and ``shortcut``
@@ -55,7 +54,6 @@ class Op:
     kind: str
     layer: Any = None
     relu: bool = False
-    source: Any = None
     pre: tuple["Op", ...] = ()
     body: tuple["Op", ...] = ()
     shortcut: "Op | None" = None
@@ -102,15 +100,11 @@ def _mlp_ops(model) -> list[Op]:
 
 def _vgg_ops(model) -> list[Op]:
     ops: list[Op] = []
-    conv = None
     for kind, layer in model._ops:
         if kind == "conv":
-            conv = layer
             ops.append(Op("conv", layer))
         elif kind == "norm":
-            # Norms normalize whatever width arrives, so they run at the
-            # feeding conv's rate — naming them is unnecessary.
-            ops.append(Op("norm", layer, relu=True, source=conv))
+            ops.append(Op("norm", layer, relu=True))
         else:
             ops.append(Op("pool", layer))
     return ops + [Op("global_pool"), Op("linear", model.head)]
@@ -118,22 +112,18 @@ def _vgg_ops(model) -> list[Op]:
 
 def _resnet_ops(model) -> list[Op]:
     ops = [Op("conv", model.stem)]
-    feeder = model.stem
     for block in model.blocks:
         ops.append(Op(
             "residual", block,
-            pre=(Op("norm", block.norm1, relu=True, source=feeder),),
+            pre=(Op("norm", block.norm1, relu=True),),
             body=(Op("conv", block.conv1),
-                  Op("norm", block.norm2, relu=True, source=block.conv1),
+                  Op("norm", block.norm2, relu=True),
                   Op("conv", block.conv2),
-                  Op("norm", block.norm3, relu=True, source=block.conv2),
+                  Op("norm", block.norm3, relu=True),
                   Op("conv", block.conv3)),
             shortcut=None if block.shortcut is None
             else Op("conv", block.shortcut)))
-        # The block output has the width of both branches; norms read
-        # the rate of the conv registered last, as compile_leaves does.
-        feeder = block.conv3 if block.shortcut is None else block.shortcut
-    return ops + [Op("norm", model.final_norm, relu=True, source=feeder),
+    return ops + [Op("norm", model.final_norm, relu=True),
                   Op("global_pool"), Op("linear", model.head)]
 
 

@@ -288,10 +288,11 @@ class SlicedBatchNorm2d(Module):
 class MultiBatchNorm2d(Module):
     """One batch-norm layer per candidate slice rate (SlimmableNet [52]).
 
-    The forward pass dispatches on the current rate to the matching BN
-    instance, each of which keeps its own running statistics.  Memory grows
-    linearly with the number of candidate rates, which is the cost the
-    paper's GN-based solution avoids.
+    Like every other norm it runs at the width that arrives: the forward
+    pass dispatches to the BN instance of that width, each of which keeps
+    its own running statistics.  Memory grows linearly with the number of
+    candidate rates, which is the cost the paper's GN-based solution
+    avoids.
     """
 
     def __init__(self, num_features: int, rates: list[float],
@@ -305,10 +306,15 @@ class MultiBatchNorm2d(Module):
             num_features, min(num_groups, num_features)
         )
         self._rate_keys: list[float] = []
+        widths: dict[int, float] = {}
         for rate in sorted(set(float(r) for r in rates)):
-            key = self._key(rate)
             width = self.partition.width_for(rate)
-            self.register_module(f"bn_{key}", BatchNorm2d(
+            if width in widths:
+                raise ConfigError(
+                    f"rates {widths[width]} and {rate} both give width "
+                    f"{width}; each BN must have a width of its own")
+            widths[width] = rate
+            self.register_module(f"bn_{self._key(rate)}", BatchNorm2d(
                 width, eps=eps, momentum=momentum,
             ))
             self._rate_keys.append(rate)
@@ -318,22 +324,19 @@ class MultiBatchNorm2d(Module):
     def _key(rate: float) -> str:
         return format(rate, ".4f").replace(".", "_")
 
+    def branch(self, width: int) -> BatchNorm2d | None:
+        """The BN instance normalizing ``width`` channels (None: none)."""
+        for rate in self._rate_keys:
+            bn = getattr(self, f"bn_{self._key(rate)}")
+            if bn.num_features == width:
+                return bn
+        return None
+
     def forward(self, x: Tensor) -> Tensor:
-        # Dispatches on this layer's resolved rate, which must match one
-        # of the configured BN widths: non-uniform profiles must assign
-        # the feeding conv and this norm the same rate (or leave both at
-        # the default) — each BN instance only knows one width.
-        rate = resolve_rate(self)
-        best = min(self._rate_keys, key=lambda r: abs(r - rate))
-        if abs(best - rate) > 1e-6:
+        bn = self.branch(x.shape[1])
+        if bn is None:
             raise ShapeError(
-                f"MultiBatchNorm2d has no BN for rate {rate}; "
+                f"MultiBatchNorm2d has no BN for {x.shape[1]} channels; "
                 f"configured rates: {self._rate_keys}"
-            )
-        bn: BatchNorm2d = getattr(self, f"bn_{self._key(best)}")
-        if x.shape[1] != bn.num_features:
-            raise ShapeError(
-                f"rate {rate} BN expects {bn.num_features} channels, "
-                f"got {x.shape[1]}"
             )
         return bn(x)

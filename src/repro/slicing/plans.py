@@ -881,17 +881,14 @@ def compile_layer(layer, rate, in_width: int | None = None,
                              layer.running_var[:channels],
                              layer.eps, relu=relu)
     if isinstance(layer, MultiBatchNorm2d):
-        best = min(layer._rate_keys, key=lambda r: abs(r - rate))
-        if abs(best - rate) > 1e-6:
+        width = in_width if in_width is not None \
+            else layer.partition.width_for(rate)
+        bn = layer.branch(width)
+        if bn is None:
             raise PlanError(
-                f"MultiBatchNorm2d has no BN for rate {rate}; "
+                f"MultiBatchNorm2d has no BN for {width} channels; "
                 f"configured rates: {layer._rate_keys}")
-        bn: BatchNorm2d = getattr(layer, f"bn_{layer._key(best)}")
-        if in_width is not None and in_width != bn.num_features:
-            raise PlanError(
-                f"rate {rate} BN expects {bn.num_features} channels, "
-                f"got {in_width}")
-        return compile_layer(bn, rate, in_width=bn.num_features, relu=relu)
+        return compile_layer(bn, rate, in_width=width, relu=relu)
     if isinstance(layer, BatchNorm2d):
         return BatchNormStep(layer.weight.data, layer.bias.data,
                              layer.running_mean, layer.running_var,
@@ -942,11 +939,10 @@ def _compile_cell(cell, rate: float, in_width: int | None = None) -> PlanStep:
     return RNNCellStep(cell, rate, in_width)
 
 
-#: Norms have no rate of their own: they run at their feeder's.
-_NORMS = (SlicedGroupNorm, SlicedBatchNorm2d, MultiBatchNorm2d, LayerNorm)
 #: The modules :func:`compile_leaves` compiles whole: every sliced layer
 #: and every plain layer whose width follows the arriving activation.
-_LEAVES = (*_INPUT_SLICED, *_NORMS, Embedding, MultiHeadSelfAttention,
+_LEAVES = (*_INPUT_SLICED, SlicedGroupNorm, SlicedBatchNorm2d,
+           MultiBatchNorm2d, LayerNorm, Embedding, MultiHeadSelfAttention,
            LearnedPositional)
 
 
@@ -963,9 +959,9 @@ def compile_leaves(model, rate) -> list[tuple[object, str, PlanStep]]:
 
     * the rate of the last width-controlling layer (a sliced output or a
       recurrent cell): input-sliced layers read their input width from
-      it, and norms run at it.  A rate rather than a width, because a
-      ResNet projection shortcut reads the block input, not the output
-      of the conv registered before it;
+      it.  A rate rather than a width, because a ResNet projection
+      shortcut reads the block input, not the output of the conv
+      registered before it;
     * the last emitted width, which norms, positional tables and
       attention follow.
     """
@@ -980,9 +976,7 @@ def compile_leaves(model, rate) -> list[tuple[object, str, PlanStep]]:
             if not isinstance(child, _LEAVES):
                 visit(child)
                 continue
-            if isinstance(child, _NORMS):
-                step = compile_layer(child, feeder, in_width=width)
-            elif isinstance(child, _INPUT_SLICED):
+            if isinstance(child, _INPUT_SLICED):
                 step = compile_layer(child, profile,
                                      in_width=_in_width(child, feeder))
             else:
@@ -1005,9 +999,6 @@ def _compile_op(op: Op, profile: SliceProfile, width: int | None
     """The step for one declared op; ``width`` is the arriving feature
     width (None for the model input, which is never sliced)."""
     layer = op.layer
-    if op.kind == "norm":
-        return compile_layer(layer, profile.rate_for(op.source.slice_point),
-                             in_width=width, relu=op.relu)
     if op.kind == "dense":
         return _dense_step(layer, profile, width, relu=op.relu)
     if op.kind == "attention":
@@ -1024,7 +1015,7 @@ def _compile_op(op: Op, profile: SliceProfile, width: int | None
         return GlobalAvgPoolStep()
     if op.kind == "log_softmax":
         return LogSoftmaxStep()
-    if op.kind in ("linear", "conv", "pool", "embedding", "lstm",
+    if op.kind in ("linear", "conv", "norm", "pool", "embedding", "lstm",
                    "positional", "layernorm"):
         return compile_layer(layer, profile, in_width=width, relu=op.relu)
     raise PlanError(f"no plan step for op kind {op.kind!r}")

@@ -132,6 +132,25 @@ class TestCommands:
         assert "metrics snapshot" in out
         assert "runtime_requests_total" in out
 
+    @pytest.mark.parametrize("mode", [
+        [], ["--model", "tenc"], ["--cascade"],
+        ["--cascade", "--model", "tenc"], ["--workers", "2"],
+        ["--cascade", "--workers", "2"],
+    ], ids=["plain", "tenc", "cascade", "cascade-tenc", "workers",
+            "cascade-workers"])
+    def test_runtime_mode_is_deterministic(self, capsys, tmp_path, mode):
+        elastic = "cascade" if "--cascade" in mode else "model slicing"
+        reports = []
+        for run in range(2):
+            path = tmp_path / f"run{run}.json"
+            assert main(["runtime", "--duration", "3", "--cascade-epochs",
+                         "1", "--json", str(path), *mode]) == 0
+            out = capsys.readouterr().out
+            for policy in (elastic, "fixed full", "fixed small"):
+                assert policy in out
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_obs_summarize_missing_file_fails_cleanly(self, capsys,
                                                       tmp_path):
         assert main(["obs", "summarize", str(tmp_path / "nope.jsonl")]) == 2

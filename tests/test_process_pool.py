@@ -32,13 +32,8 @@ from repro.runtime import (
     CascadeStage,
     LatencyProfile,
     Replica,
-    ReplicaPool,
 )
-from repro.runtime.workers import (
-    POOL_BACKENDS,
-    ProcessReplicaPool,
-    build_pool,
-)
+from repro.runtime.workers import ProcessReplicaPool
 from repro.slicing import LayerProfile
 from repro.tensor.shared import shm_segments
 from repro.utils.blas import blas_threads
@@ -417,33 +412,3 @@ class TestPoolLifecycle:
             assert arena.manifest.segment in shm_segments()
         finally:
             arena.release()
-
-
-# ---------------------------------------------------------------------------
-class TestBuildPool:
-    def test_backend_selection(self, demo):
-        model, _ = demo
-        assert POOL_BACKENDS == ("thread", "process")
-        thread = build_pool(model, 2, LatencyProfile(1e-3),
-                            backend="thread")
-        assert isinstance(thread, ReplicaPool) \
-            and not isinstance(thread, ProcessReplicaPool)
-        assert thread.backend == "thread"
-        assert [r.replica_id for r in thread] == ["w0", "w1"]
-        thread.shutdown()      # no-op on the in-process pool
-
-        with build_pool(model, 2, LatencyProfile(1e-3),
-                        backend="process") as process:
-            assert process.backend == "process"
-            assert [r.replica_id for r in process] == ["w0", "w1"]
-
-    def test_unknown_backend_rejected(self, demo):
-        model, _ = demo
-        with pytest.raises(ServingError, match="unknown pool backend"):
-            build_pool(model, 2, LatencyProfile(1e-3), backend="greenlet")
-
-    def test_process_kwargs_rejected_for_threads(self, demo):
-        model, _ = demo
-        with pytest.raises(ServingError, match="process backend"):
-            build_pool(model, 2, LatencyProfile(1e-3), backend="thread",
-                       plan_cache_capacity=8)

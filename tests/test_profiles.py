@@ -28,8 +28,8 @@ from repro import obs
 from repro.cli import build_parser, main
 from repro.errors import BudgetError, ServingError, SliceRateError
 from repro.metrics.flops import active_params, measured_flops
-from repro.models import (MLP, NNLM, SlicedVGG, TransformerEncoder,
-                          TransformerLM)
+from repro.models import (MLP, NNLM, SlicedResNet, SlicedVGG,
+                          TransformerEncoder, TransformerLM)
 from repro.models.transformer import head_ffn_profile
 from repro.optim import SGD
 from repro.runtime.replica import LatencyProfile, Replica
@@ -396,6 +396,27 @@ class TestNonUniformDifferential:
         model = SlicedVGG.cifar_mini(num_classes=4, width=8, stages=2,
                                      num_groups=4, norm="multi_bn",
                                      rates=rates, seed=0)
+        model.train()
+        for rate in rates:  # populate per-rate running statistics
+            with slice_rate(rate):
+                model(Tensor(rng.normal(
+                    size=(4, 3, 8, 8)).astype(np.float32)))
+        x = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
+        self._assert_three_way(model, x, profile)
+
+    @pytest.mark.parametrize("family,profile", [
+        ("vgg", LayerProfile({"conv0": 0.5})),
+        ("resnet", LayerProfile({"blocks.0.conv1": 0.5})),
+    ], ids=["vgg-conv0", "resnet-conv1"])
+    def test_multi_bn_runs_at_the_arriving_width(self, rng, family, profile):
+        # Only the conv is named: its norm keeps the default rate 1.0
+        # but must pick the BN of the width the conv emits, on the live
+        # forward as in the plan and the deployed subnet.
+        rates = [0.5, 1.0]
+        kwargs = dict(num_classes=4, num_groups=4, norm="multi_bn",
+                      rates=rates, seed=0)
+        model = SlicedVGG.cifar_mini(width=8, stages=2, **kwargs) \
+            if family == "vgg" else SlicedResNet.cifar_mini(**kwargs)
         model.train()
         for rate in rates:  # populate per-rate running statistics
             with slice_rate(rate):

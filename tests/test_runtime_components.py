@@ -247,19 +247,6 @@ class TestReplica:
         assert preds.shape == (5,)
         assert set(preds) <= {0, 1, 2}
 
-    def test_predict_prefers_materialized_artifact(self, rng):
-        from repro.models import MLP
-        from repro.slicing import materialize_subnet, slice_rate
-        from repro.tensor import Tensor, no_grad
-        model = MLP(8, [16], 3, seed=0)
-        artifact = materialize_subnet(model, 0.5)
-        replica = Replica("r0", LatencyProfile(0.002),
-                          artifacts={0.5: artifact})
-        x = rng.normal(size=(4, 8)).astype(np.float32)
-        with no_grad(), slice_rate(0.5):
-            expected = np.argmax(model(Tensor(x)).data, axis=-1)
-        np.testing.assert_array_equal(replica.predict(x, 0.5), expected)
-
     def test_predict_without_model_returns_none(self):
         replica = Replica("r0", LatencyProfile(0.002))
         assert replica.predict(np.zeros((2, 4)), 1.0) is None

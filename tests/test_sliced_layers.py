@@ -216,3 +216,16 @@ class TestMultiBatchNorm:
     def test_needs_rates(self):
         with pytest.raises(ConfigError):
             MultiBatchNorm2d(8, rates=[])
+
+    def test_rates_sharing_a_width_rejected(self):
+        # 0.25 and 0.5 both give 4 of 8 channels in 2 groups: the BN to
+        # run would be ambiguous, since dispatch goes by arriving width.
+        with pytest.raises(ConfigError, match="both give width 4"):
+            MultiBatchNorm2d(8, rates=[0.25, 0.5, 1.0], num_groups=2)
+
+    def test_dispatches_on_arriving_width(self, rng):
+        # The rate in scope does not choose the BN; the input width does.
+        mbn = MultiBatchNorm2d(8, rates=[0.5, 1.0], num_groups=8)
+        mbn(tensor(rng, 4, 4, 3, 3) + 5.0)
+        assert not np.allclose(mbn.bn_0_5000.running_mean, 0.0)
+        np.testing.assert_allclose(mbn.bn_1_0000.running_mean, 0.0)
