@@ -2,13 +2,12 @@
 
 The inference plan compiler (:mod:`repro.slicing.plans`) exists to make
 small-rate serving cheap: weight prefixes are materialized contiguously
-with the rescale folded in, no autograd graph is built, and conv scratch
-buffers are reused.  This benchmark measures the payoff directly —
-median forward wall-clock of the plan path vs the sliced forward, per
-rate, on the model families the paper serves (GN-CNN, the LSTM NNLM
-and the pre-activation bottleneck ResNet) — and *asserts* the
-acceptance bar for the GN-CNN and the NNLM: at r = 0.25 the plan must
-be at least 2x faster.
+with the rescale folded in and no autograd graph is built.  This
+benchmark measures the payoff directly — median forward wall-clock of
+the plan path vs the sliced forward, per rate, on the model families
+the paper serves (GN-CNN, the LSTM NNLM and the pre-activation
+bottleneck ResNet) — and *asserts* the acceptance bar for the GN-CNN
+and the NNLM: at r = 0.25 the plan must be at least 2x faster.
 
 Set ``REPRO_PLAN_SMOKE=1`` (CI does) for a quick, noise-tolerant run:
 fewer repeats and a relaxed 1.2x assertion, since shared CI runners

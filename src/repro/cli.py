@@ -357,9 +357,6 @@ def _cmd_runtime(args) -> int:
         columns = ["dropped", "goodput", "p50", "p99",
                    "measured" if args.workers else "retries", "good*acc"]
         name_width, telemetry = 14, "elastic"
-    # Only the plain worker demo warms per-rate plans up front and
-    # reports requests per worker and a multi-file trace.
-    worker_demo = bool(args.workers) and not args.cascade
     print(f"{len(arrivals)} queries over {args.duration}s, {intro}\n")
     if args.trace:
         # TickClock: the trace stays byte-identical across runs (the
@@ -404,7 +401,7 @@ def _cmd_runtime(args) -> int:
         try:
             if cascade is not None:
                 pool.warm_cascade(cascade)
-            elif worker_demo:
+            elif args.workers:
                 pool.warm_plans(rates)
             runtime = InferenceRuntime(pool, controller, config, table,
                                        fault_plan=plan, inputs=inputs,
@@ -412,7 +409,7 @@ def _cmd_runtime(args) -> int:
             with obs.span("runtime.policy", policy=name):
                 reports[name] = report = runtime.run(arrivals,
                                                      args.duration)
-            if worker_demo:
+            if args.workers:
                 worker_requests[name] = {
                     stats["worker"]: stats["requests"]
                     for stats in pool.worker_stats()}
@@ -437,7 +434,7 @@ def _cmd_runtime(args) -> int:
         print(f"\n{telemetry} policy telemetry written to {args.json}")
     if args.trace:
         obs.shutdown()
-        if worker_demo:
+        if args.workers:
             print(f"observability traces written to {args.trace}* "
                   f"(merge with: repro obs summarize '{args.trace}*')")
         else:

@@ -147,10 +147,6 @@ class CostTable:
         return ProfileTableController(
             {e.profile: e.per_sample_s for e in self.entries}, latency_slo)
 
-    def accuracy_of_rate(self) -> dict:
-        """``{profile: accuracy}`` in the runtime engine's expected form."""
-        return {as_profile(e.profile): e.accuracy for e in self.entries}
-
     # -- cascade costing -----------------------------------------------
     def cascade_controller(self, latency_slo: float,
                            stage_profiles: Sequence | None = None,

@@ -1,13 +1,15 @@
 """Normalization layers: BatchNorm2d, GroupNorm, and LayerNorm.
 
-BatchNorm2d and GroupNorm are composed from differentiable tensor
-primitives, so their backward passes come from autograd.  GroupNorm is the
-normalization the paper pairs with model slicing (Sec. 3.2): its statistics
-are computed per group at run time, so they remain correct when the number
-of active channels varies.  LayerNorm (the transformer normalization) is a
-single custom autograd node with an analytic backward; its forward is
-factored into :func:`layer_norm_eval` so compiled plans and materialized
-subnets replay the exact same arithmetic.
+BatchNorm2d is composed from differentiable tensor primitives, so its
+backward pass comes from autograd.  GroupNorm is the normalization the
+paper pairs with model slicing (Sec. 3.2): its statistics are computed per
+group at run time, so they remain correct when the number of active
+channels varies.  It runs :func:`repro.tensor.group_norm`, the one
+group-norm function :class:`~repro.slicing.SlicedGroupNorm` runs too.
+LayerNorm (the transformer normalization) is a single custom autograd
+node with an analytic backward; its forward is factored into
+:func:`layer_norm_eval` so compiled plans and materialized subnets
+replay the exact same arithmetic.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from ..tensor import Tensor
-from ..tensor.fused import fused_group_norm
-from ..tensor.workspace import active_workspace
+from ..tensor import Tensor, group_norm
 from .init import ones, zeros
 from .module import Module, Parameter
 
@@ -191,30 +191,10 @@ class GroupNorm(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        return self._normalize(x, self.num_groups, self.num_channels,
-                               self.weight, self.bias)
-
-    def _normalize(self, x: Tensor, groups: int, channels: int,
-                   weight: Parameter | None, bias: Parameter | None) -> Tensor:
-        if x.shape[1] != channels:
+        if x.shape[1] != self.num_channels:
             raise ShapeError(
-                f"GroupNorm configured for {channels} channels, got {x.shape[1]}"
+                f"GroupNorm configured for {self.num_channels} channels, "
+                f"got {x.shape[1]}"
             )
-        if active_workspace() is not None:
-            # Training fast path: one fused node with analytic gradients;
-            # the forward value is bitwise identical to the composition
-            # below (see repro.tensor.fused).
-            return fused_group_norm(x, weight, bias, groups, self.eps)
-        batch = x.shape[0]
-        spatial = x.shape[2:]
-        group_size = channels // groups
-        grouped = x.reshape(batch, groups, group_size * int(np.prod(spatial, dtype=int) or 1))
-        mean = grouped.mean(axis=2, keepdims=True)
-        centered = grouped - mean
-        var = (centered * centered).mean(axis=2, keepdims=True)
-        normed = centered * ((var + self.eps) ** -0.5)
-        normed = normed.reshape((batch, channels) + spatial)
-        if weight is not None:
-            shape = (1, channels) + (1,) * len(spatial)
-            normed = normed * weight.reshape(shape) + bias.reshape(shape)
-        return normed
+        return group_norm(x, self.weight, self.bias, self.num_groups,
+                          self.eps)

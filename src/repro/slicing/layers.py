@@ -20,9 +20,7 @@ from ..errors import ConfigError, ShapeError
 from ..nn.init import kaiming_normal, ones, zeros
 from ..nn.module import Module, Parameter
 from ..nn.norm import BatchNorm2d
-from ..tensor import Tensor, conv2d
-from ..tensor.fused import fused_group_norm
-from ..tensor.workspace import active_workspace
+from ..tensor import Tensor, conv2d, group_norm
 from .context import resolve_rate
 from .partition import GroupPartition
 from .profile import auto_slice_point
@@ -199,26 +197,10 @@ class SlicedGroupNorm(Module):
                 f"active width {channels} is not a multiple of the "
                 f"group size {self.group_size}"
             )
-        groups = channels // self.group_size
-        if active_workspace() is not None:
-            # Training fast path: fused kernel with analytic gradients.
-            # The prefix views keep the gradient routed into the full
-            # parameters through their __getitem__ backward.
-            return fused_group_norm(x, self.weight[:channels],
-                                    self.bias[:channels], groups, self.eps)
-        batch = x.shape[0]
-        spatial = x.shape[2:]
-        flat = int(np.prod(spatial, dtype=int)) if spatial else 1
-        grouped = x.reshape(batch, groups, self.group_size * flat)
-        mean = grouped.mean(axis=2, keepdims=True)
-        centered = grouped - mean
-        var = (centered * centered).mean(axis=2, keepdims=True)
-        normed = centered * ((var + self.eps) ** -0.5)
-        normed = normed.reshape((batch, channels) + spatial)
-        shape = (1, channels) + (1,) * len(spatial)
-        gamma = self.weight[:channels].reshape(shape)
-        beta = self.bias[:channels].reshape(shape)
-        return normed * gamma + beta
+        # The prefix views route the gradient into the full parameters
+        # through their __getitem__ backward.
+        return group_norm(x, self.weight[:channels], self.bias[:channels],
+                          channels // self.group_size, self.eps)
 
     def group_scale_means(self) -> np.ndarray:
         """Mean |gamma| per slice group — the telemetry behind Figure 6."""

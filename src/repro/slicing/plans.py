@@ -12,9 +12,10 @@ inference never uses.  A plan bakes all of that ahead of time for one
   dense operands;
 * **no autograd** — steps are pure-numpy callables on ``ndarray``s, no
   ``Tensor`` graph is ever built;
-* **allocation-lean execution** — the convolution step keeps scratch
-  buffers (padded input, im2col matrix, output) keyed on the input
-  shape, so steady-state serving does not re-allocate per request.
+* **the live kernels** — steps call the live layers' numpy forwards
+  (``conv2d_eval``, ``layer_norm_eval``, ``attention_eval``,
+  ``log_softmax_eval``) or replay them bitwise (``group_norm_eval``);
+  no step keeps per-input-shape state.
 
 Plans are *not* copies: a prefix that is already a contiguous float32
 array (a bias prefix, a block of leading rows, a whole weight) is a view
@@ -41,18 +42,13 @@ Cache metrics (``plan_cache_hits_total``, ``plan_cache_misses_total``,
 ``plan_cache_invalidations_total``, ``plan_cache_evictions_total``,
 ``plan_compiles_total``, ``plan_cache_size``) flow through
 :mod:`repro.obs` when observability is enabled.
-
-Execution is single-threaded by design: steps share scratch buffers, so
-one plan must not be invoked concurrently from multiple threads.
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .. import obs
 from ..errors import PlanError, ShapeError
@@ -62,7 +58,8 @@ from ..nn.embedding import Embedding, LearnedPositional
 from ..nn.norm import BatchNorm2d, LayerNorm, layer_norm_eval
 from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..tensor import Tensor
-from ..tensor.ops import window_max
+from ..tensor.fused import group_norm_eval, log_softmax_eval
+from ..tensor.ops import conv2d_eval, window_max
 from .families import Family, Op, family_of
 from .profile import SliceProfile, as_profile, snap_rate, validate_rate
 from .layers import (
@@ -92,13 +89,6 @@ __all__ = [
 
 def _f32(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.float32)
-
-
-def _log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    # Mirrors repro.tensor.functional.log_softmax exactly.
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return shifted - np.log(exp.sum(axis=axis, keepdims=True))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -161,12 +151,11 @@ class LinearStep(PlanStep):
 
 
 class ConvStep(PlanStep):
-    """im2col convolution with pre-baked prefix weights and scratch reuse.
+    """Convolution over the ``Subnet-r`` filter prefix.
 
-    The padded-input, column and output buffers are allocated once per
-    input shape and reused; the im2col gather is a strided view copied
-    into the column buffer, and the contraction is a single GEMM with an
-    ``out=`` destination.
+    Runs :func:`~repro.tensor.ops.conv2d_eval`, the live ``conv2d``
+    forward, on the prefix filters flattened to ``w_mat``, so the step
+    is bitwise the live layer.
     """
 
     kind = "conv"
@@ -181,67 +170,26 @@ class ConvStep(PlanStep):
         self.kernel_size = (kh, kw)
         self.stride = int(stride)
         self.padding = int(padding)
-        self.w_mat = _f32(self.weight.reshape(out_ch, in_ch * kh * kw))
-        self._bias_col = None if self.bias is None \
-            else self.bias.reshape(1, out_ch, 1, 1)
-        self._shape: tuple[int, ...] | None = None
+        self.w_mat = self.weight.reshape(out_ch, in_ch * kh * kw)
 
     def param_bytes(self) -> int:
         return self.w_mat.nbytes + (0 if self.bias is None else self.bias.nbytes)
 
-    def _prepare(self, shape: tuple[int, ...]) -> None:
-        batch, channels, height, width = shape
-        if channels != self.in_channels:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[1] != self.in_channels:
             raise PlanError(
                 f"conv step compiled for {self.in_channels} input channels, "
-                f"got {channels}")
-        kh, kw = self.kernel_size
-        p, s = self.padding, self.stride
-        hp, wp = height + 2 * p, width + 2 * p
-        h_out = (hp - kh) // s + 1
-        w_out = (wp - kw) // s + 1
-        if h_out <= 0 or w_out <= 0:
-            raise PlanError(f"conv step input {shape} smaller than kernel")
-        self._padded = np.zeros((batch, channels, hp, wp), dtype=np.float32)
-        self._cols = np.empty((channels * kh * kw, batch * h_out * w_out),
-                              dtype=np.float32)
-        self._gemm_out = np.empty((self.out_channels, batch * h_out * w_out),
-                                  dtype=np.float32)
-        self._out = np.empty((batch, self.out_channels, h_out, w_out),
-                             dtype=np.float32)
-        strides = self._padded.strides
-        self._view_shape = (channels, kh, kw, batch, h_out, w_out)
-        self._view_strides = (strides[1], strides[2], strides[3],
-                              strides[0], strides[2] * s, strides[3] * s)
-        self._h_out, self._w_out = h_out, w_out
-        self._shape = shape
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != self._shape:
-            self._prepare(x.shape)
-        p = self.padding
-        if p:
-            self._padded[:, :, p:-p, p:-p] = x
-        else:
-            self._padded[...] = x
-        view = as_strided(self._padded, self._view_shape, self._view_strides)
-        self._cols.reshape(self._view_shape)[...] = view
-        np.matmul(self.w_mat, self._cols, out=self._gemm_out)
-        batch = x.shape[0]
-        folded = self._gemm_out.reshape(
-            self.out_channels, batch, self._h_out, self._w_out)
-        self._out[...] = folded.transpose(1, 0, 2, 3)
-        if self._bias_col is not None:
-            self._out += self._bias_col
-        return self._out
+                f"got {x.shape[1]}")
+        return conv2d_eval(x, self.w_mat, self.bias, self.kernel_size,
+                           (self.stride,) * 2, (self.padding,) * 2)[0]
 
 
 class GroupNormStep(PlanStep):
     """Per-group normalization over the active channel prefix.
 
-    Replays :class:`SlicedGroupNorm`'s eval arithmetic op for op (a
-    ``Tensor.mean`` is a sum times the reciprocal count, ``Tensor.relu``
-    is ``x * (x > 0)``), so the step is bitwise equal to the live layer.
+    Runs :func:`~repro.tensor.fused.group_norm_eval`, which replays the
+    live layer's composed forward bitwise; the fused ReLU replays
+    ``Tensor.relu`` (``x * (x > 0)``).
     """
 
     kind = "groupnorm"
@@ -267,20 +215,8 @@ class GroupNormStep(PlanStep):
             raise PlanError(
                 f"group-norm step compiled for {self.channels} channels, "
                 f"got {x.shape[1]}")
-        grouped = x.reshape(x.shape[0], self.channels // self.group_size,
-                            self.group_size * math.prod(x.shape[2:]))
-        inv_count = 1.0 / grouped.shape[2]
-        mean = grouped.sum(axis=2, keepdims=True) * inv_count
-        centered = grouped - mean
-        # In-place where the live op allocates: same bits, two buffers.
-        out = centered * centered
-        var = out.sum(axis=2, keepdims=True) * inv_count
-        centered *= (var + self.eps) ** -0.5
-        out = out.reshape(x.shape)
-        shape = (1, self.channels) + (1,) * (x.ndim - 2)
-        np.multiply(centered.reshape(x.shape), self.weight.reshape(shape),
-                    out=out)
-        out += self.bias.reshape(shape)
+        out = group_norm_eval(x, self.weight, self.bias,
+                              self.channels // self.group_size, self.eps)[0]
         if self.relu:
             out *= out > 0
         return out
@@ -368,7 +304,9 @@ class GlobalAvgPoolStep(PlanStep):
     kind = "global_avg_pool"
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return x.mean(axis=(2, 3))
+        # Tensor.mean's arithmetic (the live global_avg_pool2d): the sum
+        # times the reciprocal count, not numpy's sum / count.
+        return x.sum(axis=(2, 3)) * (1.0 / (x.shape[2] * x.shape[3]))
 
 
 class EmbeddingStep(PlanStep):
@@ -398,7 +336,7 @@ class LogSoftmaxStep(PlanStep):
         self.axis = axis
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _log_softmax(x, axis=self.axis)
+        return log_softmax_eval(x, self.axis)[0]
 
 
 # -- transformer steps --------------------------------------------------

@@ -83,6 +83,7 @@ import numpy as np
 from ..errors import ConfigError, PlanError, SliceRateError
 from ..nn.attention import causal_mask, softmax_eval
 from ..nn.norm import layer_norm_eval
+from ..tensor.ops import _im2col, conv2d_cols
 from .families import Op
 from .plans import (
     AttentionBlockStep,
@@ -225,9 +226,6 @@ class _Node:
 
     def run(self, step: PlanStep, x):
         y = step(x)
-        if y is getattr(step, "_out", None):
-            # A scratch buffer the step overwrites on its next call.
-            y = y.copy()
         self.step, self.x, self.y = step, x, y
         return y, True, 0, 0
 
@@ -441,18 +439,21 @@ class _ConvNode(_Node):
     def _channels(step: ConvStep, x, lo: int, hi: int) -> np.ndarray:
         """Canonical per-channel execution of output channels [lo, hi).
 
-        Each output channel is one independent row of the im2col GEMM;
-        computing channels one at a time makes the result of a channel
-        independent of how many siblings run alongside it, so a later
-        channel extension reproduces the cached block bit for bit
-        (block-wise ConvStep calls would not: the GEMM kernel — and the
-        contraction order — can change with the output width).  The
-        concatenation copies every channel out of its step's scratch.
+        The columns are gathered once; each output channel is then its
+        own one-row product (:func:`~repro.tensor.ops.conv2d_cols`), so a
+        channel's result is independent of how many siblings run
+        alongside it and a later channel extension reproduces the cached
+        block bit for bit (one block-wise product would not: the GEMM
+        kernel — and the contraction order — can change with the output
+        width).
         """
+        kh, kw = step.kernel_size
+        cols, out_hw = _im2col(x, kh, kw, (step.stride,) * 2,
+                               (step.padding,) * 2)
         return np.concatenate([
-            ConvStep(step.weight[c:c + 1],
-                     None if step.bias is None else step.bias[c:c + 1],
-                     stride=step.stride, padding=step.padding)(x)
+            conv2d_cols(cols, step.w_mat[c:c + 1],
+                        None if step.bias is None else step.bias[c:c + 1],
+                        out_hw)
             for c in range(lo, hi)], axis=1)
 
     @staticmethod

@@ -19,6 +19,7 @@ from .ops import (
 from .functional import (
     cross_entropy,
     dropout,
+    group_norm,
     log_softmax,
     mse_loss,
     nll_loss,
@@ -55,6 +56,7 @@ __all__ = [
     "nll_loss",
     "cross_entropy",
     "dropout",
+    "group_norm",
     "one_hot",
     "mse_loss",
     "fused_cross_entropy",

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .fused import fused_cross_entropy
+from .fused import (fused_cross_entropy, fused_group_norm, group_length,
+                    log_softmax_eval)
 from .tensor import Tensor
 from .workspace import active_workspace
 
@@ -27,17 +28,13 @@ def tanh(x: Tensor) -> Tensor:
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    a = x
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    logsum = np.log(exp.sum(axis=axis, keepdims=True))
-    out = shifted - logsum
-    softmax_vals = exp / exp.sum(axis=axis, keepdims=True)
+    out, exp, sums = log_softmax_eval(x.data, axis)
+    softmax_vals = exp / sums
 
     def backward(grad):
         return (grad - softmax_vals * grad.sum(axis=axis, keepdims=True),)
 
-    return Tensor._make(out, (a,), backward)
+    return Tensor._make(out, (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -77,6 +74,30 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if active_workspace() is not None:
         return fused_cross_entropy(logits, targets)
     return nll_loss(log_softmax(logits, axis=-1), targets)
+
+
+def group_norm(x: Tensor, weight: Tensor | None, bias: Tensor | None,
+               groups: int, eps: float) -> Tensor:
+    """Group normalization of ``(B, C, ...)`` over ``groups`` contiguous
+    channel groups, with optional per-channel affine ``weight``/``bias``.
+
+    Under an active training workspace this dispatches to the fused
+    single-node kernel; otherwise it composes tensor primitives.  The
+    forward value is bitwise identical either way, and compiled plans'
+    :func:`~repro.tensor.fused.group_norm_eval` replays it bitwise.
+    """
+    if active_workspace() is not None:
+        return fused_group_norm(x, weight, bias, groups, eps)
+    grouped = x.reshape(x.shape[0], groups, group_length(x.shape, groups))
+    mean = grouped.mean(axis=2, keepdims=True)
+    centered = grouped - mean
+    var = (centered * centered).mean(axis=2, keepdims=True)
+    normed = centered * ((var + eps) ** -0.5)
+    normed = normed.reshape(x.shape)
+    if weight is None:
+        return normed
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    return normed * weight.reshape(shape) + bias.reshape(shape)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,

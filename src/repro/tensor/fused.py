@@ -10,10 +10,12 @@ Numerical contract
 Forward values are **bitwise identical** to the composed reference: each
 kernel replays the reference's numpy operations in the same order with
 the same scalar types (python-float scale factors, ``np.float32`` eps —
-matching ``Tensor._coerce``).  Backward values are the analytic gradients
-of the same function; they agree with the composed autograd to float32
-rounding (and with finite differences via the gradcheck sweep), but are
-not bit-for-bit the same chain of roundings.
+matching ``Tensor._coerce``).  Without a workspace the kernels run the
+numpy forwards :func:`group_norm_eval` and :func:`log_softmax_eval`,
+which compiled plan steps run too.  Backward values are the analytic
+gradients of the same function; they agree with the composed autograd
+to float32 rounding (and with finite differences via the gradcheck
+sweep), but are not bit-for-bit the same chain of roundings.
 
 GroupNorm input gradient (per group of ``K`` elements, ``s =
 (var+eps)^{-1/2}``, ``yhat = centered * s``)::
@@ -25,6 +27,8 @@ which is exact including the eps term, since ``d var/dx_j = 2 c_j / K``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .. import obs
@@ -32,7 +36,23 @@ from ..errors import ShapeError
 from .tensor import Tensor
 from .workspace import active_workspace
 
-__all__ = ["fused_cross_entropy", "fused_group_norm"]
+__all__ = ["fused_cross_entropy", "fused_group_norm", "group_norm_eval",
+           "log_softmax_eval"]
+
+
+def log_softmax_eval(x: np.ndarray, axis: int = -1
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numpy log-softmax along ``axis``; returns ``(log_probs, exp, sums)``.
+
+    The forward of :func:`~repro.tensor.functional.log_softmax`,
+    :func:`fused_cross_entropy` and compiled plan steps.  ``exp`` is the
+    exponentiated shifted input and ``sums`` its sum along ``axis``
+    (``exp / sums`` is the softmax the backward passes need).
+    """
+    shifted = x - x.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    sums = exp.sum(axis=axis, keepdims=True)
+    return shifted - np.log(sums), exp, sums
 
 
 def fused_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -53,11 +73,7 @@ def fused_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     n = logits.shape[0]
     timed = obs.enabled()
     started = obs.clock_now() if timed else None
-    x = logits.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    sums = exp.sum(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(sums)
+    log_probs, exp, sums = log_softmax_eval(logits.data)
     picked = log_probs[np.arange(n), targets]
     loss = np.asarray(-(picked.sum() * (1.0 / n)))
     softmax = exp / sums
@@ -78,6 +94,44 @@ def fused_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return Tensor._make(loss, (logits,), backward)
 
 
+def group_length(shape: tuple[int, ...], groups: int) -> int:
+    """Elements per group of a ``(B, C, ...)`` group norm over ``groups``."""
+    if shape[1] % groups:
+        raise ShapeError(f"{shape[1]} channels do not split into {groups} groups")
+    return math.prod(shape[1:]) // groups
+
+
+def group_norm_eval(x: np.ndarray, gamma: np.ndarray | None,
+                    beta: np.ndarray | None, groups: int, eps: float
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numpy group-norm forward; returns ``(out, yhat, inv_std)``.
+
+    The forward of :func:`fused_group_norm` without a workspace and of
+    compiled plan steps; it replays the composed reference
+    (:func:`~repro.tensor.functional.group_norm`) bitwise.  It works in two
+    full-size buffers: the centered input is normalized in place into
+    ``yhat`` (``(B, groups, K)``), and the squares buffer is reused for
+    the affine output.  ``gamma``/``beta`` are the per-channel affine
+    arrays (both None: no affine, ``out`` is ``yhat`` reshaped).
+    """
+    k = group_length(x.shape, groups)
+    grouped = x.reshape(x.shape[0], groups, k)
+    inv_count = 1.0 / k
+    mean = grouped.sum(axis=2, keepdims=True) * inv_count
+    yhat = grouped - mean
+    out = yhat * yhat
+    var = out.sum(axis=2, keepdims=True) * inv_count
+    inv_std = (var + np.float32(eps)) ** -0.5
+    yhat *= inv_std
+    if gamma is None:
+        return yhat.reshape(x.shape), yhat, inv_std
+    out = out.reshape(x.shape)
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    np.multiply(yhat.reshape(x.shape), gamma.reshape(shape), out=out)
+    out += beta.reshape(shape)
+    return out, yhat, inv_std
+
+
 def fused_group_norm(x: Tensor, weight: Tensor | None, bias: Tensor | None,
                      groups: int, eps: float) -> Tensor:
     """Group normalization as one node with analytic gradients.
@@ -86,52 +140,42 @@ def fused_group_norm(x: Tensor, weight: Tensor | None, bias: Tensor | None,
     ``x.shape[1]`` — for sliced layers, pass the prefix views so their
     ``__getitem__`` backward routes the gradient into the full parameter.
     """
-    batch = x.shape[0]
-    channels = x.shape[1]
-    spatial = x.shape[2:]
-    flat = int(np.prod(spatial, dtype=int)) if spatial else 1
-    group_size = channels // groups
-    k = group_size * flat
+    batch, channels, *spatial = x.shape
+    k = group_length(x.shape, groups)
+    flat = math.prod(spatial)
     timed = obs.enabled()
     started = obs.clock_now() if timed else None
     ws = active_workspace()
-    grouped = x.data.reshape(batch, groups, k)
-    mean = grouped.sum(axis=2, keepdims=True)
-    mean *= 1.0 / k
-    dt = mean.dtype
+    affine_shape = (1, channels) + (1,) * len(spatial)
+    gamma = None if weight is None else weight.data.reshape(affine_shape)
     if ws is not None:
         # Pooled buffers, same operations in the same order: the forward
-        # stays bitwise identical to the composed reference while the
-        # full-size temporaries come from the arena.
-        centered = ws.acquire((batch, groups, k), dt)
-        np.subtract(grouped, mean, out=centered)
+        # stays bitwise identical to group_norm_eval while the full-size
+        # temporaries come from the arena.
+        grouped = x.data.reshape(batch, groups, k)
+        mean = grouped.sum(axis=2, keepdims=True)
+        mean *= 1.0 / k
+        dt = mean.dtype
+        yhat = ws.acquire((batch, groups, k), dt)
+        np.subtract(grouped, mean, out=yhat)
         sq = ws.acquire((batch, groups, k), dt)
-        np.multiply(centered, centered, out=sq)
+        np.multiply(yhat, yhat, out=sq)
         var = sq.sum(axis=2, keepdims=True)
         var *= 1.0 / k
         inv_std = (var + np.float32(eps)) ** -0.5
-        yhat = centered  # centered is not needed once yhat exists
-        np.multiply(centered, inv_std, out=yhat)
-    else:
-        centered = grouped - mean
-        var = (centered * centered).sum(axis=2, keepdims=True) * (1.0 / k)
-        inv_std = (var + np.float32(eps)) ** -0.5
-        yhat = centered * inv_std
-    normed = yhat.reshape((batch, channels) + spatial)
-    affine_shape = (1, channels) + (1,) * len(spatial)
-    if weight is not None:
-        gamma = weight.data.reshape(affine_shape)
-        if ws is not None:
-            out = ws.acquire(x.shape, np.result_type(dt, gamma.dtype))
-            np.multiply(normed, gamma, out=out)
-            out += bias.data.reshape(affine_shape)
+        yhat *= inv_std
+        if gamma is None:
+            out = yhat.reshape(x.shape)
         else:
-            out = normed * gamma + bias.data.reshape(affine_shape)
-        parents = (x, weight, bias)
+            out = ws.acquire(x.shape, np.result_type(dt, gamma.dtype))
+            np.multiply(yhat.reshape(x.shape), gamma, out=out)
+            out += bias.data.reshape(affine_shape)
     else:
-        gamma = None
-        out = normed
-        parents = (x,)
+        out, yhat, inv_std = group_norm_eval(
+            x.data, None if weight is None else weight.data,
+            None if bias is None else bias.data, groups, eps)
+    normed = yhat.reshape(x.shape)
+    parents = (x,) if gamma is None else (x, weight, bias)
     reduce_axes = (0,) + tuple(range(2, 2 + len(spatial)))
     if timed:
         obs.observe("train_layer_seconds", obs.clock_now() - started,

@@ -13,7 +13,7 @@ from .. import obs
 from ..errors import ShapeError
 from .profile import profiling_active, record_flops
 from .tensor import Tensor
-from .workspace import active_workspace
+from .workspace import active_workspace, unfold_windows
 
 
 def _pair(value) -> tuple[int, int]:
@@ -31,21 +31,20 @@ def _im2col(
     batch, channels, height, width = x.shape
     ph, pw = padding
     sh, sw = stride
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    h_out = (x.shape[2] - kh) // sh + 1
-    w_out = (x.shape[3] - kw) // sw + 1
+    h_out = (height + 2 * ph - kh) // sh + 1
+    w_out = (width + 2 * pw - kw) // sw + 1
     if h_out <= 0 or w_out <= 0:
         raise ShapeError(
             f"conv output would be empty for input {x.shape}, kernel ({kh},{kw})"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw, :, :]
-    # (B, C, Hout, Wout, kh, kw) -> (B, C, kh, kw, Hout, Wout)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
-        batch, channels * kh * kw, h_out * w_out
-    )
-    return np.ascontiguousarray(cols), (h_out, w_out)
+    padded = x
+    if ph or pw:
+        padded = np.zeros((batch, channels, height + 2 * ph, width + 2 * pw),
+                          dtype=x.dtype)
+        padded[:, :, ph:ph + height, pw:pw + width] = x
+    cols = np.empty((batch, channels * kh * kw, h_out * w_out), dtype=x.dtype)
+    unfold_windows(padded, kh, kw, stride, cols)
+    return cols, (h_out, w_out)
 
 
 def _col2im(
@@ -74,6 +73,33 @@ def _col2im(
     if ph or pw:
         return padded[:, :, ph : ph + height, pw : pw + width]
     return padded
+
+
+def conv2d_cols(cols: np.ndarray, w_mat: np.ndarray, bias: np.ndarray | None,
+                out_hw: tuple[int, int]) -> np.ndarray:
+    """Filters ``(C_out, C_in*kh*kw)`` times columns ``(B, C_in*kh*kw, L)``.
+
+    One GEMM per image via batched matmul, then the per-channel bias;
+    returns ``(B, C_out, Hout, Wout)``.
+    """
+    out = (w_mat @ cols).reshape((cols.shape[0], w_mat.shape[0]) + out_hw)
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
+    return out
+
+
+def conv2d_eval(x: np.ndarray, w_mat: np.ndarray, bias: np.ndarray | None,
+                kernel_size: tuple[int, int], stride: tuple[int, int],
+                padding: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Numpy convolution forward; returns ``(out, cols)``.
+
+    The one conv forward of :func:`conv2d` without a workspace and of
+    compiled plan steps, so a plan's convolution is bitwise the live
+    layer's.  ``cols`` is the im2col matrix the backward pass reuses.
+    """
+    kh, kw = kernel_size
+    cols, out_hw = _im2col(x, kh, kw, stride, padding)
+    return conv2d_cols(cols, w_mat, bias, out_hw), cols
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -122,11 +148,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if bias is not None:
             out += bias.data.reshape(1, c_out, 1, 1)
     else:
-        cols, (h_out, w_out) = _im2col(x.data, kh, kw, stride, padding)
-        out = w_mat @ cols  # (B, C_out, Hout*Wout) via broadcasting over batch
-        out = out.reshape(x.shape[0], c_out, h_out, w_out)
-        if bias is not None:
-            out = out + bias.data.reshape(1, c_out, 1, 1)
+        out, cols = conv2d_eval(x.data, w_mat,
+                                None if bias is None else bias.data,
+                                (kh, kw), stride, padding)
+        h_out, w_out = out.shape[2:]
     if profiling_active():
         record_flops(
             "conv2d", x.shape[0] * c_out * c_in * kh * kw * h_out * w_out

@@ -4,10 +4,8 @@ Training spends most of its time in the conv im2col/col2im pair and, on a
 numpy substrate, most of *that* time re-allocating the same buffers batch
 after batch: the padded input, the column matrix, the GEMM output and the
 gradient temporaries all have shapes that repeat for every step of a run.
-A :class:`WorkspaceArena` keeps those buffers in a shape-keyed pool — the
-same trick the compiled inference plans use for serving
-(:mod:`repro.slicing.plans`) — so steady-state training allocates nothing
-on the conv hot path.
+A :class:`WorkspaceArena` keeps those buffers in a shape-keyed pool, so
+steady-state training allocates nothing on the conv hot path.
 
 Lifecycle
 ---------
@@ -36,10 +34,10 @@ An arena is activated with :func:`use_workspace`; :func:`conv2d
 their backward closures, so a backward pass that runs after the context
 exited (e.g. under gradcheck) still works.
 
-Like the inference plans' scratch buffers, an arena is single-threaded
-by design: one arena must not serve two concurrent training loops, and
-tensors produced under an arena must not be kept alive across
-``end_pass``/``end_step`` boundaries (their data may be recycled).
+An arena is single-threaded by design: one arena must not serve two
+concurrent training loops, and tensors produced under an arena must not
+be kept alive across ``end_pass``/``end_step`` boundaries (their data
+may be recycled).
 """
 
 from __future__ import annotations
@@ -59,6 +57,25 @@ __all__ = [
 ]
 
 _ACTIVE: "WorkspaceArena | None" = None
+
+
+def unfold_windows(padded: np.ndarray, kh: int, kw: int,
+                   stride: tuple[int, int], cols: np.ndarray) -> None:
+    """Copy every ``(kh, kw)`` window of ``padded`` (B, C, Hp, Wp) into
+    ``cols`` (B, C*kh*kw, Hout*Wout): the column gather of both
+    :func:`repro.tensor.ops._im2col` and :meth:`WorkspaceArena.im2col`.
+    """
+    batch, channels = padded.shape[:2]
+    sh, sw = stride
+    h_out = (padded.shape[2] - kh) // sh + 1
+    w_out = (padded.shape[3] - kw) // sw + 1
+    s0, s1, s2, s3 = padded.strides
+    view = as_strided(
+        padded,
+        (batch, channels, kh, kw, h_out, w_out),
+        (s0, s1, s2, s3, s2 * sh, s3 * sw),
+    )
+    cols.reshape(batch, channels, kh, kw, h_out, w_out)[...] = view
 
 
 def active_workspace() -> "WorkspaceArena | None":
@@ -210,13 +227,7 @@ class WorkspaceArena:
         scope = "step" if pinned else "pass"
         cols = self.acquire(
             (batch, channels * kh * kw, h_out * w_out), x.dtype, scope)
-        s0, s1, s2, s3 = padded.strides
-        view = as_strided(
-            padded,
-            (batch, channels, kh, kw, h_out, w_out),
-            (s0, s1, s2, s3, s2 * sh, s3 * sw),
-        )
-        cols.reshape(batch, channels, kh, kw, h_out, w_out)[...] = view
+        unfold_windows(padded, kh, kw, stride, cols)
         result = (cols, (h_out, w_out))
         if pinned:
             self._col_cache[key] = result

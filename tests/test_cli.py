@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -150,6 +151,21 @@ class TestCommands:
                 assert policy in out
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_cascade_workers_report_per_worker_and_trace_glob(
+            self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        assert main(["runtime", "--cascade", "--workers", "2", "--duration",
+                     "3", "--cascade-epochs", "1", "--trace",
+                     str(trace)]) == 0
+        out = capsys.readouterr().out
+        block = out.split("requests served per worker process:\n")[1]
+        for policy in ("cascade", "fixed full", "fixed small"):
+            assert re.search(rf"^  {policy} +w0=\d+ w1=\d+$", block,
+                             re.MULTILINE), policy
+        assert (f"observability traces written to {trace}* "
+                f"(merge with: repro obs summarize '{trace}*')") in out
+        assert len(list(tmp_path.glob("trace.jsonl.*.w*.jsonl"))) == 6
 
     def test_obs_summarize_missing_file_fails_cleanly(self, capsys,
                                                       tmp_path):

@@ -19,8 +19,8 @@ import pytest
 from repro import obs
 from repro.errors import PlanError, ShapeError
 from repro.metrics import active_params
-from repro.models import (MLP, NNLM, SlicedVGG, TransformerEncoder,
-                          TransformerLM)
+from repro.models import (MLP, NNLM, SlicedResNet, SlicedVGG,
+                          TransformerEncoder, TransformerLM)
 from repro.nn.module import Module, Parameter
 from repro.optim import SGD
 from repro.slicing import (
@@ -40,7 +40,8 @@ from repro.slicing import (
     shared_cache,
     slice_rate,
 )
-from repro.tensor import Tensor, no_grad
+from repro.slicing.plans import ConvStep
+from repro.tensor import Tensor, conv2d, no_grad
 
 RATES_G4 = GroupPartition(8, 4).valid_rates()  # 0.25, 0.5, 0.75, 1.0
 
@@ -143,7 +144,7 @@ class TestLayerEquivalence:
             in_w = layer.in_partition.width_for(rate)
             x = rng.normal(size=(2, in_w, 6, 6)).astype(np.float32)
             step = compile_layer(layer, rate)
-            plan_out = np.array(step(x))  # conv reuses its output buffer
+            plan_out = np.array(step(x))
             np.testing.assert_allclose(plan_out, _sliced(layer, x, rate),
                                        rtol=1e-4, atol=1e-5,
                                        err_msg=f"plan vs sliced at {rate}")
@@ -349,6 +350,69 @@ class TestTokenIdRange:
                     lambda: ResumablePlan(model, 0.5).run(tokens)):
             with pytest.raises(ShapeError, match="out of range|integers"):
                 run()
+
+
+# ----------------------------------------------------------------------
+# CNN plans run the live conv and group-norm kernels: bitwise equal
+# ----------------------------------------------------------------------
+#: Spatial sizes that are not powers of two, so a reciprocal-count mean
+#: and a true-divide mean round differently.
+IMAGE_SHAPES = [(3, 3, 12, 12), (4, 3, 20, 20)]
+
+
+def _cnn(name):
+    if name == "vgg":
+        return SlicedVGG.cifar_mini(num_classes=4, seed=0).eval()
+    return SlicedResNet.cifar_mini(num_classes=4, blocks=2, seed=0).eval()
+
+
+def _live_units(model):
+    """The live forward as one callable per compiled step, head excluded."""
+    if isinstance(model, SlicedVGG):
+        units = [(lambda h, op=op: op(h).relu()) if kind == "norm" else op
+                 for kind, op in model._ops]
+    else:
+        units = [model.stem, *model.blocks,
+                 lambda h: model.final_norm(h).relu()]
+    return units + [model.global_pool]
+
+
+class TestCNNPlansBitwiseLive:
+    @pytest.mark.parametrize("shape", IMAGE_SHAPES, ids=["3x12x12", "4x20x20"])
+    @pytest.mark.parametrize("rate", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ["vgg", "resnet"])
+    def test_plan_is_the_live_forward(self, name, rate, shape):
+        model = _cnn(name)
+        x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+        with no_grad(), slice_rate(rate):
+            live = model(Tensor(x)).data
+        assert np.array_equal(compile_plan(model, rate).run(x), live)
+
+    @pytest.mark.parametrize("shape", IMAGE_SHAPES, ids=["3x12x12", "4x20x20"])
+    @pytest.mark.parametrize("name", ["vgg", "resnet"])
+    def test_every_activation_before_the_head_at_075(self, name, shape):
+        """At .75 the head folds its 4/3 rescale into the weights (the
+        live layer scales after the GEMM); every step before it is the
+        live arithmetic."""
+        model = _cnn(name)
+        x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+        plan = compile_plan(model, 0.75)
+        units = _live_units(model)
+        assert len(units) == len(plan.steps) - 1
+        live, compiled = Tensor(x), x
+        with no_grad(), slice_rate(0.75):
+            for i, (unit, step) in enumerate(zip(units, plan.steps)):
+                live, compiled = unit(live), step(compiled)
+                np.testing.assert_array_equal(
+                    compiled, live.data, err_msg=f"step {i} ({step.kind})")
+
+    def test_pointwise_conv_step_is_conv2d(self, rng):
+        x = rng.normal(size=(2, 64, 6, 6)).astype(np.float32)
+        weight = rng.normal(size=(32, 64, 1, 1)).astype(np.float32)
+        bias = rng.normal(size=32).astype(np.float32)
+        with no_grad():
+            live = conv2d(Tensor(x), Tensor(weight), Tensor(bias)).data
+        assert np.array_equal(ConvStep(weight, bias)(x), live)
 
 
 # ----------------------------------------------------------------------

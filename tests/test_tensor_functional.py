@@ -6,16 +6,21 @@ import pytest
 from repro.errors import ShapeError
 from repro.tensor import (
     Tensor,
+    WorkspaceArena,
     check_gradients,
     count_flops,
     cross_entropy,
     dropout,
+    fused_group_norm,
+    group_norm,
     log_softmax,
     mse_loss,
     nll_loss,
     one_hot,
     softmax,
+    use_workspace,
 )
+from repro.tensor.fused import group_norm_eval
 
 
 def t(data):
@@ -53,6 +58,19 @@ class TestSoftmax:
         x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
         np.testing.assert_allclose(softmax(x, axis=0).data.sum(axis=0), 1.0,
                                    rtol=1e-5)
+
+
+class TestGroupNorm:
+    def test_channels_must_split_into_groups(self, rng):
+        x = rng.normal(size=(2, 6, 3, 3)).astype(np.float32)
+        w, b = Tensor(np.ones(6, np.float32)), Tensor(np.zeros(6, np.float32))
+        with pytest.raises(ShapeError, match="6 channels do not split"):
+            group_norm_eval(x, w.data, b.data, 4, 1e-5)
+        for fn in (group_norm, fused_group_norm):
+            with pytest.raises(ShapeError):
+                fn(Tensor(x), w, b, 4, 1e-5)
+            with use_workspace(WorkspaceArena()), pytest.raises(ShapeError):
+                fn(Tensor(x), w, b, 4, 1e-5)
 
 
 class TestLosses:

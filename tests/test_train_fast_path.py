@@ -36,6 +36,21 @@ from repro.tensor.ops import _col2im, _im2col
 RATES = [0.25, 0.5, 0.75, 1.0]
 
 
+def _im2col_reference(x, kh, kw, stride, padding):
+    """Columns (B, C*kh*kw, Hout*Wout) from ``np.pad`` and a window view."""
+    batch, channels = x.shape[:2]
+    (ph, pw), (sh, sw) = padding, stride
+    x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw),
+                                                       axis=(2, 3))
+    windows = windows[:, :, ::sh, ::sw, :, :]
+    h_out, w_out = windows.shape[2:4]
+    # (B, C, Hout, Wout, kh, kw) -> (B, C, kh, kw, Hout, Wout)
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
+        batch, channels * kh * kw, h_out * w_out)
+    return cols, (h_out, w_out)
+
+
 # ---------------------------------------------------------------------------
 # Workspace arena mechanics
 # ---------------------------------------------------------------------------
@@ -110,6 +125,28 @@ class TestWorkspaceConvKernels:
         want, want_hw = _im2col(x, kernel, kernel, stride, padding)
         assert got_hw == want_hw
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("stride,padding,kernel", [
+        ((1, 1), (1, 1), 3),
+        ((1, 1), (0, 0), 3),
+        ((2, 2), (1, 1), 3),
+        ((2, 2), (0, 0), 2),
+        ((1, 1), (0, 0), 1),
+        ((1, 2), (2, 0), 3),
+        ((3, 1), (0, 1), 2),
+    ])
+    def test_gathers_match_independent_reference(self, stride, padding,
+                                                 kernel):
+        # _im2col and the arena share one strided gather, so each is
+        # checked against a window view that shares no code with them.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 3, 8, 7)).astype(np.float32)
+        want, want_hw = _im2col_reference(x, kernel, kernel, stride, padding)
+        for got, got_hw in (_im2col(x, kernel, kernel, stride, padding),
+                            WorkspaceArena().im2col(x, kernel, kernel,
+                                                    stride, padding)):
+            assert got_hw == want_hw
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("stride,padding,kernel", [
         ((1, 1), (1, 1), 3),
