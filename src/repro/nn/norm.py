@@ -5,7 +5,8 @@ backward pass comes from autograd.  GroupNorm is the normalization the
 paper pairs with model slicing (Sec. 3.2): its statistics are computed per
 group at run time, so they remain correct when the number of active
 channels varies.  It runs :func:`repro.tensor.group_norm`, the one
-group-norm function :class:`~repro.slicing.SlicedGroupNorm` runs too.
+group-norm kernel :class:`~repro.slicing.SlicedGroupNorm`, the training
+fast path and compiled plan steps run too.
 LayerNorm (the transformer normalization) is a single custom autograd
 node with an analytic backward; its forward is factored into
 :func:`layer_norm_eval` so compiled plans and materialized subnets
@@ -23,13 +24,24 @@ from .module import Module, Parameter
 
 
 class BatchNorm2d(Module):
-    """Batch normalization over NCHW tensors with running statistics."""
+    """Batch normalization over NCHW tensors with running statistics.
+
+    The forward normalizes the channels that arrive: all
+    ``num_features`` of them, or any prefix when :attr:`accepts_prefix`
+    is set (:class:`~repro.slicing.SlicedBatchNorm2d` runs it at every
+    slice width).  A train-mode forward updates that prefix of the
+    running statistics and *rebinds* both arrays, so a compiled plan that
+    folded the old statistics sees the change by identity.
+    """
+
+    accepts_prefix = False
 
     def __init__(self, num_features: int, eps: float = 1e-5,
                  momentum: float = 0.1):
         super().__init__()
         if num_features <= 0:
-            raise ConfigError("BatchNorm2d num_features must be positive")
+            raise ConfigError(
+                f"{type(self).__name__} num_features must be positive")
         self.num_features = num_features
         self.eps = eps
         self.momentum = momentum
@@ -50,34 +62,37 @@ class BatchNorm2d(Module):
         elif key == "running_var":
             self.running_var = value.copy()
         else:
-            raise ConfigError(f"BatchNorm2d has no extra state {key!r}")
+            raise ConfigError(
+                f"{type(self).__name__} has no extra state {key!r}")
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
-            raise ShapeError("BatchNorm2d expects NCHW input")
+            raise ShapeError(f"{type(self).__name__} expects NCHW input")
         c = x.shape[1]
-        if c != self.num_features:
+        if c > self.num_features or (
+                c < self.num_features and not self.accepts_prefix):
             raise ShapeError(
-                f"BatchNorm2d built for {self.num_features} channels, got {c}"
+                f"{type(self).__name__} built for {self.num_features} "
+                f"channels, got {c}"
             )
         if self.training:
             mean = x.mean(axis=(0, 2, 3), keepdims=True)
             centered = x - mean
             var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
             m = self.momentum
-            self.running_mean = (
-                (1 - m) * self.running_mean + m * mean.data.reshape(-1)
-            )
-            self.running_var = (
-                (1 - m) * self.running_var + m * var.data.reshape(-1)
-            )
+            self.running_mean = np.concatenate((
+                (1 - m) * self.running_mean[:c] + m * mean.data.reshape(-1),
+                self.running_mean[c:]))
+            self.running_var = np.concatenate((
+                (1 - m) * self.running_var[:c] + m * var.data.reshape(-1),
+                self.running_var[c:]))
             normed = centered * ((var + self.eps) ** -0.5)
         else:
-            mean = self.running_mean.reshape(1, c, 1, 1)
-            var = self.running_var.reshape(1, c, 1, 1)
+            mean = self.running_mean[:c].reshape(1, c, 1, 1)
+            var = self.running_var[:c].reshape(1, c, 1, 1)
             normed = (x - mean) * ((Tensor(var) + self.eps) ** -0.5)
-        gamma = self.weight.reshape(1, c, 1, 1)
-        beta = self.bias.reshape(1, c, 1, 1)
+        gamma = self.weight[:c].reshape(1, c, 1, 1)
+        beta = self.bias[:c].reshape(1, c, 1, 1)
         return normed * gamma + beta
 
 

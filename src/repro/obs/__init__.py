@@ -95,7 +95,7 @@ _CATALOG = {
         "Forward passes that reused the pinned input's im2col columns.",
     "train_ws_bytes": "Bytes resident in the workspace arena's pools.",
     "train_layer_seconds":
-        "Fast-path kernel time by layer type and phase.",
+        "Kernel time under a workspace arena by layer type and phase.",
     # -- runtime (repro.runtime) --
     "runtime_queue_depth": "Requests waiting in the admission queue.",
     "runtime_queue_backpressure": "Queue fullness in [0, 1].",

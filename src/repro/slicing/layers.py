@@ -208,63 +208,18 @@ class SlicedGroupNorm(Module):
         return gamma.reshape(self.num_groups, self.group_size).mean(axis=1)
 
 
-class SlicedBatchNorm2d(Module):
+class SlicedBatchNorm2d(BatchNorm2d):
     """Batch norm with a *single* set of running statistics under slicing.
 
     This is the naive approach the paper argues breaks (Sec. 3.2): the
     running estimates are shared across rates, so the eval-time statistics
     are wrong for every subnet trained at a different width mix.  Kept as
-    the ablation baseline.
+    the ablation baseline.  It is :class:`~repro.nn.BatchNorm2d` with
+    prefixes accepted: the forward normalizes the arriving channels and
+    updates that prefix of the shared statistics.
     """
 
-    def __init__(self, num_features: int, eps: float = 1e-5,
-                 momentum: float = 0.1):
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.weight = Parameter(ones((num_features,)))
-        self.bias = Parameter(zeros((num_features,)))
-        self.running_mean = np.zeros(num_features, dtype=np.float32)
-        self.running_var = np.ones(num_features, dtype=np.float32)
-
-    def extra_state(self) -> dict[str, np.ndarray]:
-        return {
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-        }
-
-    def load_extra_state(self, key: str, value: np.ndarray) -> None:
-        if key == "running_mean":
-            self.running_mean = value.copy()
-        elif key == "running_var":
-            self.running_var = value.copy()
-        else:
-            raise ConfigError(f"SlicedBatchNorm2d has no extra state {key!r}")
-
-    def forward(self, x: Tensor) -> Tensor:
-        channels = x.shape[1]
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            m = self.momentum
-            self.running_mean[:channels] = (
-                (1 - m) * self.running_mean[:channels]
-                + m * mean.data.reshape(-1)
-            )
-            self.running_var[:channels] = (
-                (1 - m) * self.running_var[:channels]
-                + m * var.data.reshape(-1)
-            )
-            normed = centered * ((var + self.eps) ** -0.5)
-        else:
-            mean = self.running_mean[:channels].reshape(1, channels, 1, 1)
-            var = self.running_var[:channels].reshape(1, channels, 1, 1)
-            normed = (x - mean) * ((Tensor(var) + self.eps) ** -0.5)
-        gamma = self.weight[:channels].reshape(1, channels, 1, 1)
-        beta = self.bias[:channels].reshape(1, channels, 1, 1)
-        return normed * gamma + beta
+    accepts_prefix = True
 
 
 class MultiBatchNorm2d(Module):

@@ -13,9 +13,9 @@ inference never uses.  A plan bakes all of that ahead of time for one
 * **no autograd** — steps are pure-numpy callables on ``ndarray``s, no
   ``Tensor`` graph is ever built;
 * **the live kernels** — steps call the live layers' numpy forwards
-  (``conv2d_eval``, ``layer_norm_eval``, ``attention_eval``,
-  ``log_softmax_eval``) or replay them bitwise (``group_norm_eval``);
-  no step keeps per-input-shape state.
+  (``conv2d_eval``, ``group_norm_eval``, ``layer_norm_eval``,
+  ``attention_eval``, ``log_softmax_eval``); no step keeps
+  per-input-shape state.
 
 Plans are *not* copies: a prefix that is already a contiguous float32
 array (a bias prefix, a block of leading rows, a whole weight) is a view
@@ -187,8 +187,8 @@ class ConvStep(PlanStep):
 class GroupNormStep(PlanStep):
     """Per-group normalization over the active channel prefix.
 
-    Runs :func:`~repro.tensor.fused.group_norm_eval`, which replays the
-    live layer's composed forward bitwise; the fused ReLU replays
+    Runs :func:`~repro.tensor.fused.group_norm_eval`, the forward of the
+    live kernel :func:`~repro.tensor.group_norm`; the fused ReLU replays
     ``Tensor.relu`` (``x * (x > 0)``).
     """
 
@@ -811,13 +811,6 @@ def compile_layer(layer, rate, in_width: int | None = None,
         return GroupNormStep(layer.weight.data[:in_width],
                              layer.bias.data[:in_width],
                              layer.group_size, layer.eps, relu=relu)
-    if isinstance(layer, SlicedBatchNorm2d):
-        channels = in_width if in_width is not None else layer.num_features
-        return BatchNormStep(layer.weight.data[:channels],
-                             layer.bias.data[:channels],
-                             layer.running_mean[:channels],
-                             layer.running_var[:channels],
-                             layer.eps, relu=relu)
     if isinstance(layer, MultiBatchNorm2d):
         width = in_width if in_width is not None \
             else layer.partition.width_for(rate)
@@ -828,8 +821,11 @@ def compile_layer(layer, rate, in_width: int | None = None,
                 f"configured rates: {layer._rate_keys}")
         return compile_layer(bn, rate, in_width=width, relu=relu)
     if isinstance(layer, BatchNorm2d):
-        return BatchNormStep(layer.weight.data, layer.bias.data,
-                             layer.running_mean, layer.running_var,
+        channels = in_width if in_width is not None else layer.num_features
+        return BatchNormStep(layer.weight.data[:channels],
+                             layer.bias.data[:channels],
+                             layer.running_mean[:channels],
+                             layer.running_var[:channels],
                              layer.eps, relu=relu)
     if isinstance(layer, _CELLS):
         return _compile_cell(layer, rate, in_width)

@@ -116,11 +116,12 @@ class SliceTrainer:
         pooled :class:`~repro.tensor.workspace.WorkspaceArena`: conv
         im2col/col2im buffers are reused across batches, the unsliced
         input's columns are shared across the scheduled rates, and
-        GroupNorm / cross-entropy use fused analytic-gradient kernels.
+        conv / GroupNorm / pooling take their buffers from the arena.
         Loss values are bitwise identical to the reference path per
-        forward; weight trajectories agree to float32 rounding (the fused
-        backwards round differently).  Set False to train through the
-        plain composed autograd.
+        forward; weight trajectories agree to float32 rounding (the
+        pooled conv and max-pool backwards round differently).  Set
+        False to train without the arena: numpy-allocated buffers and
+        the reference conv and max-pool backwards.
     """
 
     def __init__(self, model: Module, scheme: Scheme, optimizer: SGD,

@@ -17,19 +17,16 @@ from .ops import (
     pad_channels,
 )
 from .functional import (
-    cross_entropy,
     dropout,
-    group_norm,
     log_softmax,
     mse_loss,
-    nll_loss,
     one_hot,
     relu,
     sigmoid,
     softmax,
     tanh,
 )
-from .fused import fused_cross_entropy, fused_group_norm
+from .fused import cross_entropy, group_norm
 from .gradcheck import check_gradients, numeric_gradient
 from .profile import FlopCounter, count_flops, profiling_active, record_flops
 from .shared import ArenaManifest, SharedArena, shm_segments
@@ -53,14 +50,11 @@ __all__ = [
     "tanh",
     "softmax",
     "log_softmax",
-    "nll_loss",
     "cross_entropy",
     "dropout",
     "group_norm",
     "one_hot",
     "mse_loss",
-    "fused_cross_entropy",
-    "fused_group_norm",
     "WorkspaceArena",
     "active_workspace",
     "use_workspace",

@@ -1,14 +1,16 @@
-"""Composite differentiable functions built on the Tensor primitives."""
+"""Composite differentiable functions built on the Tensor primitives.
+
+Group normalization and cross-entropy are single-node kernels in
+:mod:`repro.tensor.fused`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ShapeError
-from .fused import (fused_cross_entropy, fused_group_norm, group_length,
-                    log_softmax_eval)
+from .fused import log_softmax_eval
 from .tensor import Tensor
-from .workspace import active_workspace
 
 
 def relu(x: Tensor) -> Tensor:
@@ -40,64 +42,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis``."""
     return log_softmax(x, axis=axis).exp()
-
-
-def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer ``targets``.
-
-    Parameters
-    ----------
-    log_probs:
-        ``(N, C)`` log-probabilities, e.g. from :func:`log_softmax`.
-    targets:
-        ``(N,)`` integer class indices.
-    """
-    targets = np.asarray(targets)
-    if log_probs.ndim != 2:
-        raise ShapeError("nll_loss expects (N, C) log-probabilities")
-    if targets.shape != (log_probs.shape[0],):
-        raise ShapeError(
-            f"targets shape {targets.shape} does not match batch {log_probs.shape[0]}"
-        )
-    n = log_probs.shape[0]
-    picked = log_probs[np.arange(n), targets]
-    return -(picked.sum() * (1.0 / n))
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy between ``logits`` and integer ``targets``.
-
-    Under an active training workspace (:func:`~repro.tensor.workspace.
-    use_workspace`) this dispatches to the single-node fused kernel; the
-    forward value is bitwise identical either way.
-    """
-    if active_workspace() is not None:
-        return fused_cross_entropy(logits, targets)
-    return nll_loss(log_softmax(logits, axis=-1), targets)
-
-
-def group_norm(x: Tensor, weight: Tensor | None, bias: Tensor | None,
-               groups: int, eps: float) -> Tensor:
-    """Group normalization of ``(B, C, ...)`` over ``groups`` contiguous
-    channel groups, with optional per-channel affine ``weight``/``bias``.
-
-    Under an active training workspace this dispatches to the fused
-    single-node kernel; otherwise it composes tensor primitives.  The
-    forward value is bitwise identical either way, and compiled plans'
-    :func:`~repro.tensor.fused.group_norm_eval` replays it bitwise.
-    """
-    if active_workspace() is not None:
-        return fused_group_norm(x, weight, bias, groups, eps)
-    grouped = x.reshape(x.shape[0], groups, group_length(x.shape, groups))
-    mean = grouped.mean(axis=2, keepdims=True)
-    centered = grouped - mean
-    var = (centered * centered).mean(axis=2, keepdims=True)
-    normed = centered * ((var + eps) ** -0.5)
-    normed = normed.reshape(x.shape)
-    if weight is None:
-        return normed
-    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
-    return normed * weight.reshape(shape) + bias.reshape(shape)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,

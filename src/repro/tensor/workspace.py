@@ -29,7 +29,8 @@ The arena distinguishes two scopes:
     recycles them and clears the cache.
 
 An arena is activated with :func:`use_workspace`; :func:`conv2d
-<repro.tensor.ops.conv2d>` and the fused kernels consult
+<repro.tensor.ops.conv2d>`, max pooling and :func:`group_norm
+<repro.tensor.fused.group_norm>` consult
 :func:`active_workspace` at *forward* time and capture the arena in
 their backward closures, so a backward pass that runs after the context
 exited (e.g. under gradcheck) still works.
@@ -88,8 +89,9 @@ def use_workspace(arena: "WorkspaceArena"):
     """Run the enclosed block with ``arena`` as the active workspace.
 
     While active, :func:`~repro.tensor.ops.conv2d` draws its im2col /
-    col2im / GEMM buffers from the arena and the normalization and loss
-    layers switch to their fused forward/backward kernels.
+    col2im / GEMM buffers from the arena, max pooling and group norm
+    their full-size temporaries, and the conv, group-norm and
+    cross-entropy kernels record ``train_layer_seconds``.
     """
     global _ACTIVE
     previous = _ACTIVE

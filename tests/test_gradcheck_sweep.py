@@ -12,10 +12,13 @@ alongside the input, so the numeric probe perturbs weights and biases in
 place and the analytic gradients of the *prefix-sliced* operands are
 checked too (inactive prefix regions must receive exactly zero).
 
-The conv and groupnorm sweeps run twice: once through the composed
-reference autograd and once under an active workspace arena, which
-routes them through the pooled conv kernels and the fused analytic
-GroupNorm backward of the training fast path.
+The conv and groupnorm sweeps run twice: once without a workspace arena
+(numpy-allocated buffers, the reference conv backward) and once under an
+active arena, which routes them through the pooled conv backward of the
+training fast path and hands the group-norm kernel its buffers.  Both
+runs check the one analytic group-norm backward.  The parametrize ids
+keep their recorded names: ``composed`` is the run without an arena,
+``fused`` the run under one.
 """
 
 import contextlib
@@ -33,8 +36,8 @@ from repro.slicing import (
 from repro.tensor import Tensor, WorkspaceArena, check_gradients, use_workspace
 
 
-def _kernel_ctx(fused):
-    return use_workspace(WorkspaceArena()) if fused else (
+def _kernel_ctx(pooled):
+    return use_workspace(WorkspaceArena()) if pooled else (
         contextlib.nullcontext())
 
 RATE_CHOICES = [0.25, 0.5, 0.75, 1.0]

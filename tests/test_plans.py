@@ -624,6 +624,34 @@ class TestPlanCache:
         bn.running_mean = bn.running_mean + 1.0  # rebinds the buffer
         assert not plan.is_valid()
 
+    @pytest.mark.parametrize("build", [
+        lambda: SlicedVGG.cifar_mini(num_classes=4, width=8, stages=2,
+                                     num_groups=4, norm="batch", seed=0),
+        lambda: SlicedResNet.cifar_mini(num_classes=4, blocks=1,
+                                        norm="batch", seed=0),
+    ], ids=["vgg", "resnet"])
+    def test_naive_batch_norm_training_invalidates(self, rng, build):
+        # A train-mode forward updates the shared running statistics;
+        # both plan kinds must go stale and the cache must recompile to
+        # the new eval output instead of serving the folded old ones.
+        from repro.slicing import ResumablePlan
+        model = build()
+        x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
+        model.eval()
+        cache = PlanCache()
+        stale = cache.get(model, 1.0)
+        resumable = ResumablePlan(model, 1.0)
+        model.train()
+        model(Tensor(x * 3.0 + 1.0))
+        model.eval()
+        assert not stale.is_valid()
+        assert not resumable.is_valid()
+        fresh = cache.get(model, 1.0)
+        assert fresh is not stale
+        with slice_rate(1.0):
+            live = model(Tensor(x)).data
+        np.testing.assert_allclose(fresh.run(x), live, rtol=1e-4, atol=1e-5)
+
     def test_lru_eviction(self):
         model = MLP(8, [8], 3, num_groups=4, seed=0)
         cache = PlanCache(capacity=2)

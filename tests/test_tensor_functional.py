@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from composed_reference import composed_group_norm, nll_loss
 from repro.errors import ShapeError
+from repro.slicing.plans import GroupNormStep
 from repro.tensor import (
     Tensor,
     WorkspaceArena,
@@ -11,11 +13,9 @@ from repro.tensor import (
     count_flops,
     cross_entropy,
     dropout,
-    fused_group_norm,
     group_norm,
     log_softmax,
     mse_loss,
-    nll_loss,
     one_hot,
     softmax,
     use_workspace,
@@ -66,25 +66,51 @@ class TestGroupNorm:
         w, b = Tensor(np.ones(6, np.float32)), Tensor(np.zeros(6, np.float32))
         with pytest.raises(ShapeError, match="6 channels do not split"):
             group_norm_eval(x, w.data, b.data, 4, 1e-5)
-        for fn in (group_norm, fused_group_norm):
-            with pytest.raises(ShapeError):
-                fn(Tensor(x), w, b, 4, 1e-5)
-            with use_workspace(WorkspaceArena()), pytest.raises(ShapeError):
-                fn(Tensor(x), w, b, 4, 1e-5)
+        with pytest.raises(ShapeError):
+            group_norm(Tensor(x), w, b, 4, 1e-5)
+        with use_workspace(WorkspaceArena()), pytest.raises(ShapeError):
+            group_norm(Tensor(x), w, b, 4, 1e-5)
+
+    @pytest.mark.parametrize("affine", [np.float32, np.float64, None],
+                             ids=["f32", "f64_affine", "no_affine"])
+    def test_every_forward_is_bitwise_the_composed_reference(self, rng,
+                                                             affine):
+        # The kernel without and with an arena, and the compiled plan
+        # step, against Tensor-op group norm: values and dtype.
+        x = Tensor(rng.normal(size=(3, 8, 5, 3)).astype(np.float32))
+        w = b = None
+        if affine is not None:
+            w = Tensor(rng.normal(size=8), dtype=affine)
+            b = Tensor(rng.normal(size=8), dtype=affine)
+        want = composed_group_norm(x, w, b, 4, 1e-5).data
+        plain = group_norm(x, w, b, 4, 1e-5).data
+        with use_workspace(WorkspaceArena()):
+            pooled = group_norm(x, w, b, 4, 1e-5).data
+        for got in (plain, pooled):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        if affine is np.float32:
+            step = GroupNormStep(w.data, b.data, group_size=2, eps=1e-5)
+            np.testing.assert_array_equal(step(x.data), want)
 
 
 class TestLosses:
     def test_nll_picks_target_logprob(self):
+        # Log-probabilities are their own log-softmax, so the reference
+        # NLL and the cross-entropy kernel both pick the target entries.
         lp = Tensor(np.log([[0.7, 0.3], [0.2, 0.8]]), dtype=np.float64)
-        loss = nll_loss(lp, np.array([0, 1]))
+        targets = np.array([0, 1])
         expected = -(np.log(0.7) + np.log(0.8)) / 2
-        assert loss.item() == pytest.approx(expected, rel=1e-6)
+        for loss in (nll_loss, cross_entropy):
+            assert loss(lp, targets).item() == pytest.approx(expected,
+                                                             rel=1e-6)
 
     def test_nll_shape_checks(self):
-        with pytest.raises(ShapeError):
-            nll_loss(Tensor(np.zeros((2, 3, 4))), np.array([0, 1]))
-        with pytest.raises(ShapeError):
-            nll_loss(Tensor(np.zeros((2, 3))), np.array([0]))
+        for loss in (nll_loss, cross_entropy):
+            with pytest.raises(ShapeError):
+                loss(Tensor(np.zeros((2, 3, 4))), np.array([0, 1]))
+            with pytest.raises(ShapeError):
+                loss(Tensor(np.zeros((2, 3))), np.array([0]))
 
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((4, 10), dtype=np.float64))

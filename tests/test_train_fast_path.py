@@ -1,21 +1,24 @@
 """Differential tests for the training fast path.
 
 The fast path (``SliceTrainer(fast_path=True)``) swaps pooled workspace
-buffers, fused GroupNorm / cross-entropy kernels, and the cross-rate
+buffers, the pooled conv and max-pool backwards, and the cross-rate
 im2col cache into Algorithm 1.  Its numerical contract, asserted here:
 
 * loss values are **bitwise identical** to the reference path on the
   first step (identical weights, bitwise-identical forward kernels);
 * full training trajectories (losses and final weights) agree to
-  float32 rounding — the fused backwards are analytic gradients of the
-  same function, not the same chain of roundings;
-* models that use none of the fused kernels (the NNLM) are bitwise
+  float32 rounding — the pooled backwards round differently;
+* models that use none of the pooled kernels (the NNLM) are bitwise
   identical end to end, workspace active or not.
+
+The single-node group-norm and cross-entropy kernels are checked
+against the composed Tensor-op references in ``composed_reference.py``.
 """
 
 import numpy as np
 import pytest
 
+from composed_reference import composed_cross_entropy, composed_group_norm
 from repro import obs
 from repro.models import MLP, NNLM, SlicedVGG
 from repro.nn import GroupNorm
@@ -26,8 +29,7 @@ from repro.tensor import (
     Tensor,
     WorkspaceArena,
     cross_entropy,
-    fused_cross_entropy,
-    fused_group_norm,
+    group_norm,
     max_pool2d,
     use_workspace,
 )
@@ -192,52 +194,63 @@ class TestWorkspaceConvKernels:
 
 
 # ---------------------------------------------------------------------------
-# Fused kernels vs the composed reference graphs
+# Single-node kernels vs the composed reference graphs
 # ---------------------------------------------------------------------------
+def _kernel_and_grads(fn, inputs, upstream=None, arena=None):
+    """``fn(*inputs)`` and the gradients of ``inputs``, optionally under
+    ``arena``; gradients are copied and reset so inputs can be reused."""
+    for tensor in inputs:
+        tensor.zero_grad()
+    if arena is None:
+        out = fn(*inputs)
+        out.backward(upstream)
+    else:
+        with use_workspace(arena):
+            out = fn(*inputs)
+            out.backward(upstream)
+    return out.data.copy(), [tensor.grad.copy() for tensor in inputs]
+
+
 class TestFusedKernels:
     def test_cross_entropy_forward_bitwise_backward_close(self):
         rng = np.random.default_rng(5)
-        logits_np = rng.normal(size=(12, 7)).astype(np.float32)
+        logits = Tensor(rng.normal(size=(12, 7)).astype(np.float32),
+                        requires_grad=True)
         targets = rng.integers(0, 7, size=12)
 
-        ref_in = Tensor(logits_np.copy(), requires_grad=True)
-        ref = cross_entropy(ref_in, targets)
-        ref.backward()
-
-        fused_in = Tensor(logits_np.copy(), requires_grad=True)
-        fused = fused_cross_entropy(fused_in, targets)
-        fused.backward()
-
-        np.testing.assert_array_equal(fused.data, ref.data)
-        np.testing.assert_allclose(fused_in.grad, ref_in.grad,
-                                   rtol=1e-6, atol=1e-8)
+        ref, (ref_grad,) = _kernel_and_grads(
+            lambda x: composed_cross_entropy(x, targets), [logits])
+        for arena in (None, WorkspaceArena()):
+            got, (grad,) = _kernel_and_grads(
+                lambda x: cross_entropy(x, targets), [logits], arena=arena)
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-6, atol=1e-8)
 
     def test_group_norm_forward_bitwise_backward_close(self):
         rng = np.random.default_rng(6)
-        x_np = rng.normal(size=(4, 6, 5, 5)).astype(np.float32)
+        x = Tensor(rng.normal(size=(4, 6, 5, 5)).astype(np.float32),
+                   requires_grad=True)
         layer = GroupNorm(num_groups=3, num_channels=6)
         layer.weight.data = rng.normal(size=6).astype(np.float32)
         layer.bias.data = rng.normal(size=6).astype(np.float32)
-        upstream = rng.normal(size=x_np.shape).astype(np.float32)
+        upstream = rng.normal(size=x.shape).astype(np.float32)
+        inputs = [x, layer.weight, layer.bias]
 
-        ref_in = Tensor(x_np.copy(), requires_grad=True)
-        ref = layer(ref_in)
-        ref.backward(upstream)
-        ref_grads = (ref_in.grad.copy(), layer.weight.grad.copy(),
-                     layer.bias.grad.copy())
-        layer.weight.zero_grad()
-        layer.bias.zero_grad()
+        ref, ref_grads = _kernel_and_grads(
+            lambda *ts: composed_group_norm(*ts, 3, layer.eps), inputs,
+            upstream)
+        plain, plain_grads = _kernel_and_grads(
+            lambda x, w, b: layer(x), inputs, upstream)
+        pooled, pooled_grads = _kernel_and_grads(
+            lambda x, w, b: layer(x), inputs, upstream,
+            arena=WorkspaceArena())
 
-        fused_in = Tensor(x_np.copy(), requires_grad=True)
-        fused = fused_group_norm(fused_in, layer.weight, layer.bias,
-                                 groups=3, eps=layer.eps)
-        fused.backward(upstream)
-
-        np.testing.assert_array_equal(fused.data, ref.data)
-        for got, want in zip(
-                (fused_in.grad, layer.weight.grad, layer.bias.grad),
-                ref_grads):
+        np.testing.assert_array_equal(plain, ref)
+        np.testing.assert_array_equal(pooled, ref)
+        for got, pool, want in zip(plain_grads, pooled_grads, ref_grads):
             np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-6)
+            # One backward body: the arena only supplies its buffers.
+            np.testing.assert_array_equal(pool, got)
 
     def test_group_norm_pooled_branch_is_bitwise(self):
         rng = np.random.default_rng(7)
@@ -246,12 +259,14 @@ class TestFusedKernels:
                         requires_grad=True)
         bias = Tensor(rng.normal(size=8).astype(np.float32),
                       requires_grad=True)
-        plain = fused_group_norm(Tensor(x_np.copy()), weight, bias,
-                                 groups=2, eps=1e-5)
+        want = composed_group_norm(Tensor(x_np), weight, bias, 2, 1e-5)
+        plain = group_norm(Tensor(x_np.copy()), weight, bias,
+                           groups=2, eps=1e-5)
         with use_workspace(WorkspaceArena()):
-            pooled = fused_group_norm(Tensor(x_np.copy()), weight, bias,
-                                      groups=2, eps=1e-5)
-        np.testing.assert_array_equal(pooled.data, plain.data)
+            pooled = group_norm(Tensor(x_np.copy()), weight, bias,
+                                groups=2, eps=1e-5)
+        np.testing.assert_array_equal(plain.data, want.data)
+        np.testing.assert_array_equal(pooled.data, want.data)
 
     def test_max_pool_pooled_branch_matches(self):
         rng = np.random.default_rng(8)
@@ -417,6 +432,38 @@ class TestFastPathObservability:
             assert reuses.value() == trainer.arena.col_reuses > 0
             assert registry.gauge("train_ws_bytes").value() == float(
                 trainer.arena.nbytes())
+        finally:
+            obs.disable()
+
+    def test_kernel_time_is_recorded_only_under_an_arena(self):
+        # train_layer_seconds is training time: eval forwards and the
+        # arena-free trainer call the same kernels but record nothing.
+        rng = np.random.default_rng(9)
+        layer = GroupNorm(num_groups=2, num_channels=4)
+        x = Tensor(rng.normal(size=(2, 4, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        logits = Tensor(rng.normal(size=(3, 5)).astype(np.float32),
+                        requires_grad=True)
+        targets = np.array([0, 4, 2])
+
+        def run():
+            group_norm(x, layer.weight, layer.bias, 2, layer.eps).backward(
+                np.ones(x.shape, np.float32))
+            cross_entropy(logits, targets).backward()
+
+        registry, _ = obs.configure()
+        try:
+            layer.eval()
+            layer(x)
+            cross_entropy(logits, targets)
+            run()
+            assert registry.get("train_layer_seconds") is None
+            with use_workspace(WorkspaceArena()):
+                run()
+            seconds = registry.get("train_layer_seconds")
+            for name in ("group_norm", "cross_entropy"):
+                for phase in ("forward", "backward"):
+                    assert seconds.count(layer=name, phase=phase) == 1
         finally:
             obs.disable()
 
