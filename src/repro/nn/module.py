@@ -4,11 +4,19 @@ A :class:`Module` owns named :class:`Parameter` tensors and child modules,
 registered automatically on attribute assignment.  It provides the usual
 traversal (``parameters``, ``named_parameters``), train/eval mode switching,
 gradient zeroing, and flat ``state_dict`` (de)serialization.
+
+Every write that can stale a compiled inference plan also bumps one
+process-wide *mutation epoch* (:func:`mutation_epoch`): a
+:class:`Parameter` version change, and a :class:`Module` binding a
+parameter, a child module or an attribute named in
+:meth:`Module.extra_state`.  Staleness checks compare the epoch first
+and walk the model only after it moved.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Iterator
 
 import numpy as np
@@ -21,6 +29,30 @@ from ..tensor import Tensor
 # with a property below so rebinding writes bump the version counter.
 _TENSOR_DATA = Tensor.data
 
+# Every bump stores a fresh value from one counter (``next`` on an
+# ``itertools.count`` is atomic under the GIL), so a reader that saw
+# value ``e`` and still reads ``e`` knows no bump landed in between,
+# even when two threads bump at once.
+_EPOCHS = itertools.count(1)
+_epoch = 0
+
+
+def mutation_epoch() -> int:
+    """The process-wide mutation epoch: moves on every write that can
+    stale a compiled plan.
+
+    Equal readings mean no parameter version, parameter or child-module
+    binding, or running-statistics binding changed anywhere in the
+    process in between.  A moved epoch says only that *something*
+    changed; callers then walk their model to see whether it was theirs.
+    """
+    return _epoch
+
+
+def _bump_epoch() -> None:
+    global _epoch
+    _epoch = next(_EPOCHS)
+
 
 class Parameter(Tensor):
     """A trainable tensor: ``requires_grad`` defaults to True.
@@ -31,7 +63,8 @@ class Parameter(Tensor):
     In-place element writes (``param.data[...] = arr``) bypass the
     property; wrap them in ``with param.mutate() as data:`` so the
     version is bumped automatically, or call :meth:`bump_version`
-    explicitly.
+    explicitly.  Every version change also bumps the process-wide
+    :func:`mutation_epoch`.
     """
 
     def __init__(self, data, dtype=None):
@@ -47,6 +80,7 @@ class Parameter(Tensor):
         _TENSOR_DATA.__set__(self, value)
         # __init__ routes through here before _version exists.
         self._version = getattr(self, "_version", -1) + 1
+        _bump_epoch()
 
     @property
     def version(self) -> int:
@@ -56,6 +90,7 @@ class Parameter(Tensor):
     def bump_version(self) -> int:
         """Record an in-place mutation that bypassed the ``data`` setter."""
         self._version += 1
+        _bump_epoch()
         return self._version
 
     def sync_version(self, version: int) -> int:
@@ -66,9 +101,13 @@ class Parameter(Tensor):
         parameters to the counters the serving parent published, so the
         plan-cache staleness check fires cross-process exactly as it
         would in-process.  Unlike :meth:`bump_version` this may set any
-        value, including one the local process never saw.
+        value, including one the local process never saw.  Only a
+        change of value bumps the :func:`mutation_epoch`.
         """
-        self._version = int(version)
+        version = int(version)
+        if version != self._version:
+            self._version = version
+            _bump_epoch()
         return self._version
 
     @contextlib.contextmanager
@@ -102,15 +141,29 @@ class Module:
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
             self._parameters[name] = value
+            _bump_epoch()
         elif isinstance(value, Module):
             self._modules[name] = value
+            _bump_epoch()
+        elif self._binds_extra_state(name):
+            _bump_epoch()
         object.__setattr__(self, name, value)
+
+    def _binds_extra_state(self, name: str) -> bool:
+        """Whether setting ``name`` rebinds an :meth:`extra_state` entry."""
+        if type(self).extra_state is Module.extra_state:
+            return False
+        try:
+            return name in self.extra_state()
+        except AttributeError:   # mid-__init__: not every entry exists yet
+            return True
 
     def register_module(self, name: str, module: "Module") -> None:
         """Register a child module under ``name`` (used for module lists)."""
         if not isinstance(module, Module):
             raise ConfigError(f"{name} is not a Module")
         self._modules[name] = module
+        _bump_epoch()
         object.__setattr__(self, name, module)
 
     # -- traversal --------------------------------------------------------
@@ -138,17 +191,6 @@ class Module:
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
         return sum(p.size for p in self.parameters())
-
-    def parameter_version(self) -> int:
-        """Sum of all parameter version counters.
-
-        Any mutation of any parameter changes this value, so it serves
-        as a cheap staleness token for caches keyed on model weights
-        (see :mod:`repro.slicing.plans`).  Structural edits that swap
-        parameters wholesale (e.g. ``upgrade_model``) are caught by the
-        identity checks those caches perform in addition to this sum.
-        """
-        return sum(p.version for p in self.parameters())
 
     # -- mode & grads -----------------------------------------------------
     def train(self, mode: bool = True) -> "Module":

@@ -166,6 +166,8 @@ class CascadeExecutor:
                     f"pointwise wider than stage {k} ({stage.label()})")
         self.model = model
         self.stages = stages
+        # Resolved once: the request path never rebuilds a profile.
+        self._profiles = [as_profile(stage.rate) for stage in stages]
         self.incremental = bool(incremental)
         #: Compiled stage plans of the recompute path; parameter-version
         #: checks recompile them after a mutation.
@@ -183,8 +185,8 @@ class CascadeExecutor:
         """
         if self.incremental:
             return 0
-        for rate in self.stage_rates():
-            self.plans.get(self.model, rate)
+        for profile in self._profiles:
+            self.plans.get(self.model, profile)
         return len(self.stages)
 
     def run_batch(self, inputs: np.ndarray) -> CascadeResult:
@@ -226,7 +228,7 @@ class CascadeExecutor:
         row_shape = x.shape[1:]
 
         def answer(k, rows, local):
-            plan = self.plans.get(self.model, self.stages[k].rate)
+            plan = self.plans.get(self.model, self._profiles[k])
             logits = plan.run(x if k == 0 else x[rows])
             madds = len(rows) * self._madds_per_row(k, row_shape)
             return logits, madds, madds
@@ -234,7 +236,7 @@ class CascadeExecutor:
 
     def _resume(self, x: np.ndarray):
         """Stage ``k`` subsets the previous resumable pass and widens it."""
-        plan = ResumablePlan(self.model, self.stages[0].rate)
+        plan = ResumablePlan(self.model, self._profiles[0])
 
         def answer(k, rows, local):
             nonlocal plan
@@ -242,7 +244,7 @@ class CascadeExecutor:
                 logits = plan.run(x)
             else:
                 plan = plan.subset(local)
-                logits = plan.widen(self.stages[k].rate)
+                logits = plan.widen(self._profiles[k])
             return logits, plan.spent_madds, plan.scratch_madds
         return answer
 
@@ -252,7 +254,7 @@ class CascadeExecutor:
         madds = self._row_madds.get(key)
         if madds is None:
             madds = self._row_madds[key] = scratch_madds(
-                self.model, self.stages[k].rate, row_shape=row_shape)
+                self.model, self._profiles[k], row_shape=row_shape)
         return madds
 
     def calibrate(self, inputs: np.ndarray, labels: np.ndarray) -> dict:

@@ -43,9 +43,11 @@ default threading.
 
 Staleness rides the arena's version block.  After the parent mutates
 weights (``load_state_dict``, ``Parameter.mutate()``, an optimizer
-step), the next dispatch :meth:`~ProcessReplicaPool.sync`-s: the arena
-publishes the new per-parameter version counters, every worker adopts
-them on its next request via :meth:`~repro.tensor.shared.SharedArena.refresh`,
+step), the process-wide mutation epoch moves and the next dispatch
+:meth:`~ProcessReplicaPool.sync`-s: the arena publishes the new
+per-parameter version counters and moves its generation counter, every
+worker adopts them on its next request via
+:meth:`~repro.tensor.shared.SharedArena.refresh`,
 and the worker's local :class:`~repro.slicing.plans.PlanCache` staleness
 check fires exactly as it would in-process — stale plans recompile
 before the next reply and ``plan_cache_invalidations_total`` accounts
@@ -82,6 +84,7 @@ import numpy as np
 
 from .. import obs
 from ..errors import ServingError
+from ..nn.module import mutation_epoch
 from ..slicing.plans import PlanCache
 from ..slicing.profile import SliceProfile, as_profile
 from ..tensor.shared import SharedArena, _disinherit
@@ -503,7 +506,7 @@ class ProcessReplicaPool(ReplicaPool):
         self._owns_arena = arena is None
         self.arena = SharedArena.create(model) if arena is None else arena
         self.arena.bind(model)
-        self._published = model.parameter_version()
+        self._published = mutation_epoch()
         self._closed = False
         self._handles: list[_WorkerHandle] = []
 
@@ -559,15 +562,18 @@ class ProcessReplicaPool(ReplicaPool):
     def sync(self) -> bool:
         """Publish parent weight mutations to the arena, if any.
 
-        Cheap no-op (one int compare) when nothing changed; called
-        automatically before every proxied request.  Returns whether a
-        publication happened.
+        Called automatically before every proxied request.  While the
+        process-wide :func:`~repro.nn.module.mutation_epoch` has not
+        moved since the last publish, this is one int compare; after it
+        moved, :meth:`SharedArena.publish` walks the model.  The epoch
+        is read before the publish, so a write racing it is published
+        by the next call.  Returns whether a publication happened.
         """
-        version = self.model.parameter_version()
-        if version == self._published:
+        epoch = mutation_epoch()
+        if epoch == self._published:
             return False
         self.arena.publish(self.model)
-        self._published = self.model.parameter_version()
+        self._published = epoch
         return True
 
     # -- pool interface --------------------------------------------------

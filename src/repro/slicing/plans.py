@@ -27,8 +27,12 @@ a plan records the ``(parameter, version)`` pairs it was compiled from.
 :meth:`InferencePlan.is_valid` re-walks the model and fails on any
 version bump, identity change (e.g. ``upgrade_model`` swapped layers) or
 rebound running-statistics buffer; :class:`PlanCache` recompiles, and a
-plan held outside the cache is run only while it is valid.  Aliasing is
-deliberate: process workers compile over a shared parameter arena.
+plan held outside the cache is run only while it is valid.  Every such
+write also moves the process-wide
+:func:`~repro.nn.module.mutation_epoch`, and the walk runs only after
+the epoch moved, so a check on an unchanged process is one integer
+compare.  Aliasing is deliberate: process workers compile over a shared
+parameter arena.
 
 Steps follow the model's declaration in :mod:`repro.slicing.families`;
 a residual op compiles to one :class:`ResidualStep` that holds the steps
@@ -55,6 +59,7 @@ from ..errors import PlanError, ShapeError
 from ..nn.attention import MultiHeadSelfAttention, attention_eval, causal_mask
 from ..nn.dropout import Dropout
 from ..nn.embedding import Embedding, LearnedPositional
+from ..nn.module import mutation_epoch
 from ..nn.norm import BatchNorm2d, LayerNorm, layer_norm_eval
 from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..tensor import Tensor
@@ -1024,6 +1029,9 @@ class InferencePlan:
         self.rate = float(self.profile) if self.profile.uniform else None
         self.steps = list(steps)
         self.family = family
+        # Read before the snapshot: a write racing it moves the epoch
+        # past this value, so the next check walks.
+        self._epoch = mutation_epoch()
         self._sources = [(p, p.version) for p in model.parameters()]
         self._extra = [
             (module, key, value)
@@ -1033,7 +1041,18 @@ class InferencePlan:
 
     # -- staleness -------------------------------------------------------
     def is_valid(self) -> bool:
-        """True while the snapshot still matches the live model."""
+        """True while the snapshot still matches the live model.
+
+        O(1) while the process-wide
+        :func:`~repro.nn.module.mutation_epoch` has not moved since the
+        last successful check.  Otherwise it walks every parameter and
+        running-statistics buffer, and records the epoch it read before
+        the walk only if the walk passes, so a write racing the walk
+        makes the next check walk again.
+        """
+        epoch = mutation_epoch()
+        if epoch == self._epoch:
+            return True
         current = self.model.parameters()
         if len(current) != len(self._sources):
             return False
@@ -1043,6 +1062,7 @@ class InferencePlan:
         for module, key, value in self._extra:
             if module.extra_state().get(key) is not value:
                 return False
+        self._epoch = epoch
         return True
 
     # -- execution -------------------------------------------------------

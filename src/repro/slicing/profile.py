@@ -152,12 +152,13 @@ class UniformProfile(SliceProfile):
 
     def __init__(self, rate: float):
         self.rate = validate_rate(rate)
+        self._fingerprint = f"u:{self.rate!r}"
 
     def rate_for(self, slice_point: str | None) -> float:
         return self.rate
 
     def fingerprint(self) -> str:
-        return f"u:{self.rate!r}"
+        return self._fingerprint
 
     def mean_rate(self) -> float:
         return self.rate

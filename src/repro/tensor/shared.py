@@ -10,7 +10,8 @@ of arrays on the request path.
 
 Layout of the segment::
 
-    [ versions : int64[slots] ][ pad to 64 ][ array 0 ][ pad ][ array 1 ] ...
+    [ generation : int64 ][ versions : int64[slots] ][ pad to 64 ]
+    [ array 0 ][ pad ][ array 1 ] ...
 
 The *versions block* carries the per-:class:`~repro.nn.module.Parameter`
 monotone version counters across the process boundary: the parent
@@ -19,7 +20,10 @@ workers :meth:`~SharedArena.refresh` before serving, adopting any new
 counter via :meth:`Parameter.sync_version`.  The existing
 :class:`~repro.slicing.plans.PlanCache` staleness check then fires in
 the worker exactly as it would in-process, recompiling stale plans
-before the next reply.
+before the next reply.  The *generation* counter in front of the block
+moves once per publish that changed a slot (after the slots are
+written), so a refresh compares that one integer and walks the slots
+only when it moved.
 
 Lifecycle safety: segments the current process created are tracked in a
 registry and unlinked at interpreter exit (guarded by owner pid, so a
@@ -51,7 +55,8 @@ ARENA_PREFIX = "repro_arena_"
 #: Byte alignment of each packed array (cache-line friendly).
 _ALIGN = 64
 
-#: Width of one version-counter slot in bytes (int64).
+#: Width of one version-counter slot in bytes (int64); the generation
+#: counter takes the first one.
 _SLOT = 8
 
 # Arenas created (not attached) by this process, keyed by segment name.
@@ -107,7 +112,8 @@ def _plan_layout(arrays: Iterable[tuple[str, str, np.ndarray]]):
     if not arrays:
         raise ConfigError("cannot build an arena for a model with no "
                           "parameters or running stats")
-    offset = _aligned(len(arrays) * _SLOT)   # versions block first
+    # Generation counter and versions block first.
+    offset = _aligned((1 + len(arrays)) * _SLOT)
     for name, kind, array in arrays:
         entries.append(ArenaEntry(
             name=name, kind=kind, offset=offset,
@@ -175,8 +181,12 @@ class SharedArena:
         self._owner_pid = os.getpid() if owner else None
         self._closed = False
         self._unlinked = False
+        self._generation = np.frombuffer(
+            shm.buf, dtype=np.int64, count=1, offset=0)
         self._versions = np.frombuffer(
-            shm.buf, dtype=np.int64, count=manifest.slots, offset=0)
+            shm.buf, dtype=np.int64, count=manifest.slots, offset=_SLOT)
+        # The generation the last adopt/refresh walked (None: never).
+        self._seen_generation: int | None = None
         self._views: dict[str, np.ndarray] = {}
         # Parent-side bindings (filled by bind/adopt).
         self._bound_params: list = []          # (entry, Parameter)
@@ -284,7 +294,10 @@ class SharedArena:
         (optimizer steps that allocate, ``upgrade_model``) is copied
         back in; batch-norm running stats are content-compared against
         the last published snapshot and get their slot bumped on drift.
-        Returns the number of slots whose counter changed.
+        When any slot changed, the generation counter moves once, after
+        every slot is written, which is what tells a worker's
+        :meth:`refresh` to walk the slots.  Returns the number of slots
+        whose counter changed.
         """
         self._check_open()
         changed = 0
@@ -310,6 +323,8 @@ class SharedArena:
                 self._versions[entry.slot] += 1
                 self._extra_snapshots[entry.slot] = view.copy()
                 changed += 1
+        if changed:
+            self._generation[0] += 1
         return changed
 
     # -- worker side ----------------------------------------------------
@@ -323,6 +338,7 @@ class SharedArena:
         self._check_open()
         self._bound_params = []
         self._bound_extra = []
+        generation = int(self._generation[0])
         params = dict(model.named_parameters())
         stateful = list(model._named_stateful())
         for entry in self.manifest.entries:
@@ -346,20 +362,28 @@ class SharedArena:
                 setattr(module, key, view)
                 self._bound_extra.append((entry, module, key))
                 self._extra_seen[entry.slot] = int(self._versions[entry.slot])
+        self._seen_generation = generation
         return self
 
     def refresh(self, model=None) -> int:
         """Adopt any version counters the parent published since last call.
 
-        Cheap (one int64 compare per slot) — called before every worker
-        request.  Parameters whose counter moved get
+        Called before every worker request.  While the generation
+        counter has not moved since the last adopt or refresh, this is
+        one int64 compare and returns 0 without walking any slot.  After
+        a publish it walks the slots: parameters whose counter moved get
         :meth:`Parameter.sync_version`-ed, which is exactly what makes
         ``InferencePlan.is_valid()`` fail and the worker's ``PlanCache``
         recompile.  Running-stat slots rebind the module attribute to a
         *fresh* view object so the plan's identity check fails too.
-        Returns the number of adopted slots.
+        The generation is read before the walk, so a publish racing the
+        walk makes the next refresh walk again.  Returns the number of
+        adopted slots.
         """
         self._check_open()
+        generation = int(self._generation[0])
+        if generation == self._seen_generation:
+            return 0
         adopted = 0
         for entry, param in self._bound_params:
             published = int(self._versions[entry.slot])
@@ -372,6 +396,7 @@ class SharedArena:
                 setattr(module, key, self._view(entry, fresh=True))
                 self._extra_seen[entry.slot] = published
                 adopted += 1
+        self._seen_generation = generation
         return adopted
 
     # -- lifecycle ------------------------------------------------------
@@ -395,6 +420,7 @@ class SharedArena:
             return
         self._closed = True
         self._views.clear()
+        self._generation = None
         self._versions = None
         self._bound_params = []
         self._bound_extra = []

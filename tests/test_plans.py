@@ -9,8 +9,9 @@ pre-existing execution paths:
 
 On top of equivalence, this file pins down the plan cache's contract:
 hits, misses, staleness-driven invalidation (parameter version counters,
-identity changes, rebound running statistics), LRU eviction, and the
-observability counters that report all of the above.
+identity changes, rebound running statistics), the mutation epoch that
+lets a check on an unchanged process skip the walk, LRU eviction, and
+the observability counters that report all of the above.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.errors import PlanError, ShapeError
 from repro.metrics import active_params
 from repro.models import (MLP, NNLM, SlicedResNet, SlicedVGG,
                           TransformerEncoder, TransformerLM)
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, mutation_epoch
 from repro.optim import SGD
 from repro.slicing import (
     GroupPartition,
@@ -507,13 +508,6 @@ class TestParameterVersion:
                 raise RuntimeError("interrupted mid-write")
         assert p.version == 1
 
-    def test_module_parameter_version_sums(self):
-        layer = SlicedLinear(4, 4, rng=np.random.default_rng(0))
-        before = layer.parameter_version()
-        layer.weight.data = layer.weight.data * 2.0
-        layer.bias.data = layer.bias.data + 1.0
-        assert layer.parameter_version() == before + 2
-
     def test_sgd_step_bumps_every_updated_parameter(self, rng):
         model = MLP(6, [8], 3, num_groups=4, seed=0)
         optimizer = SGD(model.parameters(), lr=0.1)
@@ -527,9 +521,10 @@ class TestParameterVersion:
     def test_load_state_dict_bumps(self):
         layer = SlicedLinear(4, 4, rng=np.random.default_rng(0))
         state = layer.state_dict()
-        before = layer.parameter_version()
+        before = [p.version for p in layer.parameters()]
         layer.load_state_dict(state)
-        assert layer.parameter_version() > before
+        after = [p.version for p in layer.parameters()]
+        assert all(b > a for b, a in zip(after, before))
 
 
 # ----------------------------------------------------------------------
@@ -687,6 +682,152 @@ class TestPlanCache:
         own = PlanCache()
         assert get_plan(model, 0.5, cache=own) is not plan
         shared.invalidate(model)
+
+
+# ----------------------------------------------------------------------
+# The mutation epoch: every bump path stales a held plan, and a check on
+# an unchanged process never walks the model
+# ----------------------------------------------------------------------
+# Each path takes the model and returns its write as a thunk, so that
+# building a replacement (whose own construction bumps the epoch) happens
+# before the test reads the epoch.
+def _data_assign(model):
+    weight = model.head.weight
+    return lambda: setattr(weight, "data", weight.data * 1.5)
+
+
+def _data_isub(model):
+    def write():
+        model.head.weight.data -= 0.1
+    return write
+
+
+def _bump_version(model):
+    return model.head.weight.bump_version
+
+
+def _mutate(model):
+    def write():
+        with model.head.weight.mutate() as data:
+            data[0, 0] += 1.0
+    return write
+
+
+def _mutate_raises(model):
+    def write():
+        with pytest.raises(RuntimeError):
+            with model.head.weight.mutate() as data:
+                data[0, 0] += 1.0
+                raise RuntimeError("interrupted mid-write")
+    return write
+
+
+def _sync_version_new(model):
+    weight = model.head.weight
+    return lambda: weight.sync_version(weight.version + 5)
+
+
+def _new_parameter(model):
+    bias = Parameter(model.head.bias.data.copy())
+    return lambda: setattr(model.head, "bias", bias)
+
+
+def _new_head():
+    return SlicedLinear(8, 3, slice_output=False, num_groups=4,
+                        rng=np.random.default_rng(1))
+
+
+def _child_swap(model):
+    head = _new_head()
+    return lambda: setattr(model, "head", head)
+
+
+def _register_module(model):
+    head = _new_head()
+    return lambda: model.register_module("head", head)
+
+
+def _load_state_dict(model):
+    state = model.state_dict()
+    return lambda: model.load_state_dict(state)
+
+
+_BUMP_PATHS = [_data_assign, _data_isub, _bump_version, _mutate,
+               _mutate_raises, _sync_version_new, _new_parameter,
+               _child_swap, _register_module, _load_state_dict]
+
+
+def _count_walks(monkeypatch) -> list:
+    """Count calls to ``Module.parameters`` (the staleness walk)."""
+    calls = []
+    original = Module.parameters
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Module, "parameters", counted)
+    return calls
+
+
+class TestMutationEpoch:
+    @pytest.mark.parametrize("path", _BUMP_PATHS,
+                             ids=lambda path: path.__name__.lstrip("_"))
+    def test_bump_path_stales_held_plan(self, path):
+        model = MLP(8, [8], 3, num_groups=4, seed=0)
+        plan = compile_plan(model, 0.5)
+        write = path(model)
+        assert plan.is_valid()
+        epoch = mutation_epoch()
+        write()
+        assert mutation_epoch() != epoch
+        assert not plan.is_valid()
+
+    def test_rebound_running_mean_stales_held_plan(self):
+        model = SlicedVGG.cifar_mini(num_classes=4, width=8, stages=2,
+                                     num_groups=4, norm="batch", seed=0)
+        model.eval()
+        plan = compile_plan(model, 1.0)
+        assert plan.is_valid()
+        bn = next(m for m in model.modules() if m.extra_state())
+        epoch = mutation_epoch()
+        bn.running_mean = bn.running_mean + 1.0
+        assert mutation_epoch() != epoch
+        assert not plan.is_valid()
+
+    def test_sync_version_to_same_value_keeps_fast_path(self, monkeypatch):
+        model = MLP(8, [8], 3, num_groups=4, seed=0)
+        plan = compile_plan(model, 0.5)
+        assert plan.is_valid()
+        epoch = mutation_epoch()
+        for param in model.parameters():
+            param.sync_version(param.version)
+        assert mutation_epoch() == epoch
+        walks = _count_walks(monkeypatch)
+        assert plan.is_valid()
+        assert walks == []
+
+    def test_cache_hit_on_unchanged_model_does_not_walk(self, monkeypatch):
+        model = MLP(8, [8], 3, num_groups=4, seed=0)
+        cache = PlanCache()
+        plan = cache.get(model, 0.5)
+        walks = _count_walks(monkeypatch)
+        for _ in range(3):
+            assert cache.get(model, 0.5) is plan
+        assert walks == []
+        assert cache.hits == 3
+
+    def test_unrelated_write_walks_once_and_stays_valid(self, monkeypatch):
+        # The epoch is process-wide: another model's write costs this
+        # plan one walk, which passes and re-arms the fast path.
+        model = MLP(8, [8], 3, num_groups=4, seed=0)
+        other = MLP(8, [8], 3, num_groups=4, seed=1)
+        plan = compile_plan(model, 0.5)
+        other.head.weight.bump_version()
+        walks = _count_walks(monkeypatch)
+        assert plan.is_valid()
+        assert plan.is_valid()
+        assert walks == [model]
 
 
 class TestObsCounters:

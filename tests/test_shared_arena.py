@@ -3,8 +3,9 @@
 The arena packs a model's widest-rate parameters and running stats
 into one shared-memory segment; these tests exercise the single
 process contract — bind/adopt equivalence, the version-block
-publish/refresh protocol driving cross-attachment plan invalidation,
-and lifecycle safety — without spawning workers (the multi-process
+publish/refresh protocol (and the generation counter that lets an
+idle refresh skip the slots) driving cross-attachment plan
+invalidation, and lifecycle safety — without spawning workers (the multi-process
 path is tests/test_process_pool.py).
 """
 
@@ -214,6 +215,75 @@ class TestPublishRefresh:
                 # refresh rebinds to a *fresh* view object (so plan
                 # identity checks fail) with the published content.
                 np.testing.assert_array_equal(other.running_mean, 7.0)
+            finally:
+                attached.close()
+
+
+class _NoWalk(list):
+    """A bound-slot list that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("refresh walked the slots")
+
+
+class TestGeneration:
+    def test_refresh_adopts_exactly_the_published_slots(self):
+        parent = _model()
+        other = _model(seed=1)
+        with parent.share_memory() as arena:
+            attached = SharedArena.attach(arena.manifest)
+            try:
+                attached.adopt(other)
+                params = dict(parent.named_parameters())
+                for name in ("fc1.weight", "head.bias"):
+                    params[name].bump_version()
+                before = {name: p.version
+                          for name, p in other.named_parameters()}
+                assert arena.publish(parent) == 2
+                assert attached.refresh(other) == 2
+                moved = {name for name, p in other.named_parameters()
+                         if p.version != before[name]}
+                assert moved == {"fc1.weight", "head.bias"}
+                assert attached.refresh(other) == 0
+            finally:
+                attached.close()
+
+    def test_running_stat_only_publish_adopts_one_slot(self):
+        parent = BatchNorm2d(4)
+        other = BatchNorm2d(4)
+        parent.eval(), other.eval()
+        with parent.share_memory() as arena:
+            attached = SharedArena.attach(arena.manifest)
+            try:
+                attached.adopt(other)
+                versions = [p.version for p in other.parameters()]
+                running_var = other.running_var
+                parent.running_mean[...] = 3.0
+                assert arena.publish(parent) == 1
+                assert attached.refresh(other) == 1
+                np.testing.assert_array_equal(other.running_mean, 3.0)
+                assert other.running_var is running_var
+                assert [p.version for p in other.parameters()] == versions
+            finally:
+                attached.close()
+
+    def test_noop_refresh_does_not_walk_slots(self):
+        parent = _model()
+        other = _model(seed=1)
+        with parent.share_memory() as arena:
+            attached = SharedArena.attach(arena.manifest)
+            try:
+                attached.adopt(other)
+                assert arena.publish(parent) == 0
+                bound = attached._bound_params
+                attached._bound_params = _NoWalk(bound)
+                assert attached.refresh(other) == 0
+                # A publish that changed a slot moves the generation, and
+                # the next refresh walks again.
+                attached._bound_params = bound
+                next(iter(parent.parameters())).bump_version()
+                assert arena.publish(parent) == 1
+                assert attached.refresh(other) == 1
             finally:
                 attached.close()
 

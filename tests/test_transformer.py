@@ -33,7 +33,7 @@ from repro.metrics.flops import measured_flops, memory_of_profile
 from repro.models import MLP, TransformerEncoder, TransformerLM
 from repro.models.transformer import (head_ffn_profile,
                                       transformer_search_points)
-from repro.nn import Embedding
+from repro.nn import Embedding, Module
 from repro.optim import SGD
 from repro.runtime import LatencyProfile
 from repro.slicing import (
@@ -352,6 +352,24 @@ class TestDecoderSession:
         fresh = model.new_session(1.0)
         fresh.append(3)
         assert fresh.plan is not session.plan
+
+    def test_append_checks_staleness_without_walking(self, monkeypatch):
+        model = TransformerLM(61, embed_dim=32, num_heads=HEADS, ffn_dim=64,
+                              depth=2, max_seq=16, seed=5)
+        session = model.new_session(1.0)
+        session.append(3)
+        walks = []
+        walk = Module.parameters
+        monkeypatch.setattr(Module, "parameters",
+                            lambda self: walks.append(self) or walk(self))
+        for token in (4, 5, 6):
+            session.append(token)
+        assert walks == []
+        with model.blocks[0].fc1.weight.mutate() as data:
+            data[0, 0] += 1.0
+        with pytest.raises(PlanError, match="stale"):
+            session.append(7)
+        assert walks == [model]
 
 
 def _token_builder(shape):
