@@ -8,7 +8,8 @@ Two workflows the paper highlights beyond elastic serving:
    tensors.
 2. **Upgrading an existing network** (Algorithm 1's ``upgrade_model``):
    take a plain ``repro.nn`` model, convert its layers to sliced
-   counterparts in place (weights preserved), and fine-tune with slicing.
+   counterparts in place (weights preserved), fine-tune with slicing,
+   and serve the result on compiled per-rate plans.
 
 Run:  python examples/elastic_compression.py   (~40 seconds)
 """
@@ -23,7 +24,7 @@ from repro.data import ArrayDataset, DataLoader
 from repro.metrics import active_params, measured_flops
 from repro.nn import Linear, ReLU, Sequential
 from repro.optim import SGD
-from repro.slicing import materialize_subnet, upgrade_model
+from repro.slicing import PlanCache, materialize_subnet, upgrade_model
 from repro.tensor import Tensor, no_grad
 from repro.utils import save_model
 
@@ -93,8 +94,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. Upgrade a plain pre-existing network and fine-tune with slicing.
     # ------------------------------------------------------------------
-    plain = Sequential(Linear(20, 64), ReLU(), Linear(64, 64), ReLU(),
-                       Linear(64, 5))
+    rng = np.random.default_rng(4)
+    plain = Sequential(Linear(20, 64, rng=rng), ReLU(),
+                       Linear(64, 64, rng=rng), ReLU(), Linear(64, 5, rng=rng))
     upgraded = upgrade_model(plain)  # weights preserved, layers sliced
     finetuner = SliceTrainer(upgraded,
                              RandomStaticScheme(RATES, num_random=1),
@@ -103,11 +105,23 @@ def main() -> None:
                              rng=np.random.default_rng(3))
     print("\nfine-tuning an upgraded plain network ...")
     finetuner.fit(loader, epochs=15)
+    upgraded.eval()
+
+    # The upgraded Sequential is a declared plan family: serve it on
+    # compiled per-rate plans, like the bundled models.
+    cache = PlanCache()
+    print(f"\n{'serve rate':>10} {'params':>9} {'accuracy':>9}")
+    for rate in RATES:
+        logits = cache.get(upgraded, rate).run(test_data.inputs)
+        acc = float((logits.argmax(axis=1) == test_data.targets).mean())
+        print(f"{rate:>10} {active_params(upgraded, rate):>9,} {acc:>9.3f}")
     with no_grad():
         with slice_rate(0.25):
-            logits = upgraded(Tensor(test_data.inputs))
-    acc = float((logits.data.argmax(axis=1) == test_data.targets).mean())
-    print(f"upgraded network, quarter width: accuracy {acc:.3f}")
+            live = upgraded(Tensor(test_data.inputs)).data
+    served = cache.get(upgraded, 0.25).run(test_data.inputs)
+    assert np.array_equal(served.argmax(axis=1), live.argmax(axis=1))
+    print("upgraded network served on plans: quarter-width predictions "
+          "identical to the live sliced forward")
 
 
 if __name__ == "__main__":

@@ -168,13 +168,22 @@ def _demo_model(name: str, seed: int):
 
     Returns ``(model, row_shape)``: ``row_shape`` is one input row's
     shape, or None for time-major token ids over a 64-word vocabulary.
+    ``sequential`` is a plain MLP after Algorithm 1's ``upgrade_model``.
     """
+    import numpy as np
+
     from .models import (MLP, NNLM, SlicedResNet, SlicedVGG,
                          TransformerEncoder, TransformerLM)
+    from .nn import Linear, ReLU, Sequential
+    from .slicing import upgrade_model
 
+    rng = np.random.default_rng(seed)
     image = (3, 8, 8)
     table = {
         "mlp": (lambda: MLP(32, [64, 64], 8, seed=seed), (32,)),
+        "sequential": (lambda: upgrade_model(Sequential(
+            Linear(32, 64, rng=rng), ReLU(), Linear(64, 64, rng=rng),
+            ReLU(), Linear(64, 8, rng=rng))), (32,)),
         "cnn": (lambda: SlicedVGG.cifar_mini(width=16, seed=seed), image),
         "resnet": (lambda: SlicedResNet.cifar_mini(seed=seed), image),
         "tenc": (lambda: TransformerEncoder(
@@ -775,11 +784,11 @@ def build_parser() -> argparse.ArgumentParser:
              "uncompiled sliced forward")
     plan.add_argument("--model", default="cnn",
                       choices=["mlp", "cnn", "resnet", "nnlm", "tenc",
-                               "tlm"],
+                               "tlm", "sequential"],
                       help="resnet is the pre-activation bottleneck "
                            "ResNet; tenc/tlm are the sliced-attention "
                            "transformer encoder and decoder LM (head+FFN "
-                           "slicing)")
+                           "slicing); sequential is an upgraded plain MLP")
     plan.add_argument("--batch", type=int, default=8)
     plan.add_argument("--repeats", type=int, default=15)
     plan.add_argument("--rates", type=float, nargs="*", default=None,

@@ -3,8 +3,9 @@
 ``measured_flops`` runs an instrumented forward pass, so it reports the
 *actual* multiply-adds of the sliced computation — the quantity behind the
 ``Ct`` rows of Tables 2 and 4.  ``active_params`` counts the parameters a
-subnet deployed at a rate holds (the ``Mt`` rows), read from the same
-compiled steps :func:`~repro.slicing.deploy.materialize_subnet` ships.
+subnet deployed at a rate holds (the ``Mt`` rows), read from the
+compiled plan whose steps :func:`~repro.slicing.deploy.materialize_subnet`
+ships.
 
 The memory helpers extend the same accounting to bytes, per
 :class:`~repro.slicing.profile.SliceProfile`: :func:`param_bytes` is the
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..nn.module import Module
 from ..slicing.context import slice_profile
-from ..slicing.plans import compile_leaves
+from ..slicing.plans import compile_plan
 from ..tensor import Tensor, count_flops, no_grad
 
 
@@ -59,40 +60,26 @@ def measured_flops(model: Module, input_shape: tuple[int, ...],
     return counter.total
 
 
-# Compiled steps hold float32 arrays, like the library's activations.
-_FLOAT32 = 4
-
-
-def _deployed(model: Module, rate) -> tuple[int, list]:
-    """Step bytes of the sliced leaves, and every parameter outside them."""
-    leaves = compile_leaves(model, rate)
-    sliced = {id(p) for parent, name, _ in leaves
-              for p in parent._modules[name].parameters()}
-    return (sum(step.param_bytes() for *_, step in leaves),
-            [p for p in model.parameters() if id(p) not in sliced])
-
-
 def active_params(model: Module, rate=1.0) -> int:
     """Parameters resident in memory when the model is deployed at ``rate``.
 
     Counts what :func:`~repro.slicing.deploy.materialize_subnet` ships,
-    for any profile: each sliced layer's compiled step, at the width
-    that actually arrives at it, and plain layers at full size.
+    for any profile: the weights of the plan
+    :func:`~repro.slicing.plans.compile_plan` compiles, each layer at the
+    width that arrives at it (float32, four bytes each).  A model
+    without a plan raises :class:`~repro.errors.PlanError`.
     """
-    step_bytes, plain = _deployed(model, rate)
-    return step_bytes // _FLOAT32 + sum(p.size for p in plain)
+    return param_bytes(model, rate) // 4
 
 
 def param_bytes(model: Module, rate=1.0) -> int:
     """Weight bytes resident when the model is deployed at ``rate``.
 
-    The byte counterpart of :func:`active_params`; for a declared model
-    family it equals ``compile_plan(model, rate).param_bytes()``.  An
-    elastic replica that serves every rate from one model hosts its
-    full weights instead.
+    The byte counterpart of :func:`active_params`:
+    ``compile_plan(model, rate).param_bytes()``.  An elastic replica that
+    serves every rate from one model hosts its full weights instead.
     """
-    step_bytes, plain = _deployed(model, rate)
-    return step_bytes + sum(p.data.nbytes for p in plain)
+    return compile_plan(model, rate).param_bytes()
 
 
 def _io_bytes(value) -> int:

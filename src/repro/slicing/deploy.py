@@ -8,12 +8,11 @@ weights are the active prefixes at the chosen rate — nothing of the full
 model is retained, so the deployed artifact genuinely shrinks on disk and
 in memory.
 
-Every sliced layer is compiled by
-:func:`~repro.slicing.plans.compile_layer` (through
-:func:`~repro.slicing.plans.compile_leaves`), and its plain replacement is
-filled from that step's arrays, rescale factors baked in.  Widths are
-therefore worked out once, by the same rule compiled plans use, and the
-deployed network holds exactly the parameters
+The subnet is compiled by :func:`~repro.slicing.plans.compile_plan`, and
+each layer in its :attr:`~repro.slicing.plans.InferencePlan.layer_steps`
+gets a plain replacement filled from its step's arrays, rescale factors
+baked in.  Widths are therefore worked out once, by the walk compiled
+plans use, and the deployed network holds exactly the parameters
 :func:`~repro.metrics.flops.active_params` counts.
 """
 
@@ -79,18 +78,15 @@ def _batch_norm(step: plans.BatchNormStep) -> BatchNorm2d:
     return _fill(plain, weight=step.weight, bias=step.bias)
 
 
-def _rnn_cell(step: plans.RNNCellStep) -> RNNCell:
-    plain = RNNCell(step.in_width, step.hidden, rng=_rng())
-    return _fill(plain, weight_ih=step.weight_ih * step.scale,
-                 weight_hh=step.weight_hh * step.scale,
-                 bias=step.bias * step.scale)
-
-
-def _lstm_cell(step: plans.LSTMCellStep) -> LSTMCell:
-    plain = LSTMCell(step.in_width, step.hidden, rng=_rng())
-    return _fill(plain, weight_ih=step.weight_ih * step.scale,
-                 weight_hh=step.weight_hh * step.scale,
-                 bias=step.bias * step.scale)
+def _scaled_cell(cell_type):
+    """Builder of a plain RNN or LSTM cell, the rescale baked into every
+    gate (an LSTM step packs its gates as the plain cell does)."""
+    def build(step):
+        plain = cell_type(step.in_width, step.hidden, rng=_rng())
+        return _fill(plain, weight_ih=step.weight_ih * step.scale,
+                     weight_hh=step.weight_hh * step.scale,
+                     bias=step.bias * step.scale)
+    return build
 
 
 def _gru_cell(step: plans.GRUCellStep) -> GRUCell:
@@ -130,11 +126,12 @@ def _embedding(step: plans.EmbeddingStep) -> Embedding:
 
 _BUILDERS = {
     plans.LinearStep: _linear,
+    plans.DenseStep: _linear,
     plans.ConvStep: _conv,
     plans.GroupNormStep: _group_norm,
     plans.BatchNormStep: _batch_norm,
-    plans.RNNCellStep: _rnn_cell,
-    plans.LSTMCellStep: _lstm_cell,
+    plans.RNNCellStep: _scaled_cell(RNNCell),
+    plans.LSTMCellStep: _scaled_cell(LSTMCell),
     plans.GRUCellStep: _gru_cell,
     plans.AttentionStep: _attention,
     plans.LayerNormStep: _layer_norm,
@@ -147,11 +144,10 @@ def materialize_subnet(model: Module, rate) -> Module:
     """Return a standalone plain copy of ``Subnet-rate``.
 
     ``rate`` may be a scalar or a
-    :class:`~repro.slicing.profile.SliceProfile`.  Each sliced layer
-    becomes a plain layer holding only the step
-    :func:`~repro.slicing.plans.compile_leaves` compiles for it, with
-    input widths threaded as the live forward produces them, so
-    non-uniform profiles deploy with the exact widths they run at.
+    :class:`~repro.slicing.profile.SliceProfile`.  Each layer of the
+    compiled plan becomes a plain layer holding only its step, at the
+    width the plan threads to it, so non-uniform profiles deploy with the
+    exact widths they run at.
 
     The original model is untouched.  Everything else (activations,
     pooling, containers, composite blocks) is deep-copied.  The result no
@@ -164,22 +160,28 @@ def materialize_subnet(model: Module, rate) -> Module:
         :class:`SlicedBatchNorm2d`, whose running statistics are not
         meaningful for a single deployed width.
     PlanError
-        If a layer cannot run at ``rate`` (e.g. a
+        If the model has no plan (an undeclared container) or a layer
+        cannot run at ``rate`` (e.g. a
         :class:`~repro.slicing.layers.MultiBatchNorm2d` with no branch
         for the width that arrives).
     """
-    clone = copy.deepcopy(model)
-    leaves = plans.compile_leaves(clone, rate)
-    if not leaves:
+    modules = list(model.modules())
+    if all(getattr(m, "slice_point", None) is None for m in modules):
         raise ConfigError("model contains no sliceable layers")
-    for parent, name, step in leaves:
-        old = parent._modules[name]
-        if isinstance(old, SlicedBatchNorm2d):
-            raise ConfigError(
-                "cannot materialize SlicedBatchNorm2d; train with "
-                "group normalization for deployable subnets"
-            )
-        new = _BUILDERS[type(step)](step)
+    if any(isinstance(m, SlicedBatchNorm2d) for m in modules):
+        raise ConfigError(
+            "cannot materialize SlicedBatchNorm2d; train with "
+            "group normalization for deployable subnets"
+        )
+    clone = copy.deepcopy(model)
+    owners = {id(child): (parent, name) for parent in clone.modules()
+              for name, child in parent._modules.items()}
+    for old, step in plans.compile_plan(clone, rate).layer_steps:
+        build = _BUILDERS.get(type(step))
+        if build is None:  # parameter-free: pools and dropout stay
+            continue
+        parent, name = owners[id(old)]
+        new = build(step)
         parent.register_module(name, new)
         # Composite modules may alias children in plain lists
         # (e.g. SlicedVGG._ops, SlicedLSTM.cells); patch those.

@@ -17,8 +17,9 @@ Both executors read these declarations and share :meth:`Family.execute`:
 :func:`~repro.slicing.plans.compile_plan` turns each op into a BLAS
 ``PlanStep``, and :class:`~repro.slicing.resume.ResumablePlan` runs the
 same compiled steps through nodes that retain their intermediates for
-Sec. 3.5 widening.  Every bundled model is declared, and a model without
-a declaration has no plan (``compile_plan`` raises ``PlanError``).  A
+Sec. 3.5 widening.  Every bundled model is declared, and so is a
+``Sequential`` of sliced layers (an ``upgrade_model`` result); a model
+without a declaration has no plan, count or deployment.  A
 new family built from existing op kinds is one more entry in
 :func:`families`.  A new op kind needs a step in ``plans.py``, and a
 node class in ``resume.py`` only if it has a Sec. 3.5 reuse rule (every
@@ -27,11 +28,18 @@ other step runs through the generic node).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Any, Callable
 
 import numpy as np
+
+from ..errors import PlanError
+from ..nn import (AvgPool2d, BatchNorm2d, Dropout, GlobalAvgPool2d,
+                  MaxPool2d, ReLU, Sequential)
+from .layers import (MultiBatchNorm2d, SlicedConv2d, SlicedGroupNorm,
+                     SlicedLinear)
+from .recurrent import SlicedGRUCell, SlicedLSTMCell, SlicedRNNCell
 
 __all__ = ["Op", "Family", "families", "family_of"]
 
@@ -149,6 +157,35 @@ def _lm_ops(model) -> list[Op]:
             Op("dense", model.decoder), Op("log_softmax")]
 
 
+#: The op kind of each layer a ``Sequential`` may hold.
+_SEQUENTIAL_KINDS = (
+    ("linear", SlicedLinear), ("conv", SlicedConv2d),
+    ("norm", (SlicedGroupNorm, BatchNorm2d, MultiBatchNorm2d)),
+    ("pool", (MaxPool2d, AvgPool2d, GlobalAvgPool2d)),
+    ("dropout", Dropout),
+    ("cell", (SlicedLSTMCell, SlicedGRUCell, SlicedRNNCell)),
+)
+
+
+def _sequential_ops(model) -> list[Op]:
+    """A ``Sequential``'s children in order; a ``ReLU`` fuses into the
+    linear or norm op before it, and any other child has no op."""
+    ops: list[Op] = []
+    for index, child in enumerate(model):
+        if isinstance(child, ReLU) and ops and not ops[-1].relu \
+                and ops[-1].kind in ("linear", "norm"):
+            ops[-1] = replace(ops[-1], relu=True)
+            continue
+        kind = next((kind for kind, types in _SEQUENTIAL_KINDS
+                     if isinstance(child, types)), None)
+        if kind is None:
+            raise PlanError(
+                f"no plan op for Sequential child {index} "
+                f"({type(child).__name__})")
+        ops.append(Op(kind, child))
+    return ops
+
+
 @cache
 def families() -> tuple[Family, ...]:
     """Every declared family, in lookup order."""
@@ -169,6 +206,9 @@ def families() -> tuple[Family, ...]:
                row_subset=False),
         Family("tlm", TransformerLM, _lm_ops, flat_tail=2,
                row_subset=False),
+        # Last: a container of sliced layers, e.g. what upgrade_model
+        # returns for a plain network.
+        Family("sequential", Sequential, _sequential_ops),
     )
 
 

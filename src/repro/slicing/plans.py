@@ -36,11 +36,13 @@ parameter arena.
 
 Steps follow the model's declaration in :mod:`repro.slicing.families`;
 a residual op compiles to one :class:`ResidualStep` that holds the steps
-of its branches.  Every bundled model is declared, and a model without a
-declaration gets :class:`~repro.errors.PlanError` from
-:func:`compile_plan`.  Plans always execute **eval-mode semantics**:
-dropout is identity and batch norm uses running statistics, regardless
-of the model's ``training`` flag at compile time.
+of its branches.  Every bundled model and every ``Sequential`` of sliced
+layers is declared; a model without a declaration gets
+:class:`~repro.errors.PlanError` from :func:`compile_plan`, and so from
+deployment and parameter counts, which read the plan.  Plans always
+execute **eval-mode semantics**: dropout is identity and batch norm uses
+running statistics, regardless of the model's ``training`` flag at
+compile time.
 
 Cache metrics (``plan_cache_hits_total``, ``plan_cache_misses_total``,
 ``plan_cache_invalidations_total``, ``plan_cache_evictions_total``,
@@ -69,14 +71,12 @@ from .families import Family, Op, family_of
 from .profile import SliceProfile, as_profile, snap_rate, validate_rate
 from .layers import (
     MultiBatchNorm2d,
-    SlicedBatchNorm2d,
     SlicedConv2d,
     SlicedGroupNorm,
     SlicedLinear,
 )
 from .recurrent import (
     SlicedGRUCell,
-    SlicedLSTM,
     SlicedLSTMCell,
     SlicedRNNCell,
 )
@@ -86,7 +86,6 @@ __all__ = [
     "PlanCache",
     "compile_plan",
     "compile_layer",
-    "compile_leaves",
     "shared_cache",
     "get_plan",
 ]
@@ -738,8 +737,6 @@ def _recurrent_scale(cell, in_width: int, hidden: int) -> float:
 # Layer compilation: the one width rule of every layer
 # ----------------------------------------------------------------------
 _CELLS = (SlicedLSTMCell, SlicedGRUCell, SlicedRNNCell)
-#: Layers whose input side has a partition of its own.
-_INPUT_SLICED = (SlicedLinear, SlicedConv2d, *_CELLS)
 
 
 def _in_width(layer, rate: float) -> int:
@@ -772,13 +769,12 @@ def compile_layer(layer, rate, in_width: int | None = None,
     """Compile one sliced layer into a :class:`PlanStep` at ``rate``.
 
     ``rate`` may be a scalar or a :class:`SliceProfile`; a profile is
-    resolved to this layer's own rate via its ``slice_point`` name
-    (containers like :class:`SlicedLSTM` resolve per child cell).
-    ``in_width`` is the width of the arriving activation
-    (:func:`compile_plan` and :func:`compile_leaves` thread it); without
-    it, input-sliced layers and group norms derive it from the rate, and
-    layer norms, positional tables and attention take their full width.
-    ``relu`` fuses a trailing ReLU into steps that support it.
+    resolved to this layer's own rate via its ``slice_point`` name.
+    ``in_width`` is the width of the arriving activation (:func:`compile_plan`
+    threads it); without it, input-sliced layers and group norms derive
+    it from the rate, and layer norms, positional tables and attention
+    take their full width.  ``relu`` fuses a trailing ReLU into steps
+    that support it.
 
     This is the only place a layer's active widths, weight prefixes and
     rescale factor are worked out: compiled plans, resumable plans,
@@ -786,14 +782,6 @@ def compile_layer(layer, rate, in_width: int | None = None,
     counts of :mod:`repro.metrics.flops` all read the step it returns.
     """
     profile = as_profile(rate)
-    if isinstance(layer, SlicedLSTM):
-        cell_steps: list[PlanStep] = []
-        width = in_width
-        for cell in layer.cells:
-            cell_steps.append(_compile_cell(
-                cell, profile.rate_for(cell.slice_point), width))
-            width = cell_steps[-1].hidden
-        return LSTMStackStep(cell_steps)
     rate = validate_rate(profile.rate_for(getattr(layer, "slice_point", None)))
     if isinstance(layer, SlicedLinear):
         weight, bias, scale = _linear_prefix(layer, rate, in_width)
@@ -878,106 +866,69 @@ def _compile_cell(cell, rate: float, in_width: int | None = None) -> PlanStep:
     return RNNCellStep(cell, rate, in_width)
 
 
-#: The modules :func:`compile_leaves` compiles whole: every sliced layer
-#: and every plain layer whose width follows the arriving activation.
-_LEAVES = (*_INPUT_SLICED, SlicedGroupNorm, SlicedBatchNorm2d,
-           MultiBatchNorm2d, LayerNorm, Embedding, MultiHeadSelfAttention,
-           LearnedPositional)
-
-
-def compile_leaves(model, rate) -> list[tuple[object, str, PlanStep]]:
-    """Compile every sliced leaf of ``model`` at ``rate``, in module order.
-
-    Returns one ``(parent, name, step)`` per leaf, the leaf being
-    ``parent._modules[name]``.  Unlike :func:`compile_plan` this needs no
-    family declaration, so it also covers undeclared containers (bare
-    layers in a ``Sequential`` or a wrapper module), which parameter
-    counts and :func:`~repro.slicing.deploy.materialize_subnet` accept.
-    Modules are walked in registration order, which is dataflow order
-    for the bundled models, threading what arrives at each leaf:
-
-    * the rate of the last width-controlling layer (a sliced output or a
-      recurrent cell): input-sliced layers read their input width from
-      it.  A rate rather than a width, because a ResNet projection
-      shortcut reads the block input, not the output of the conv
-      registered before it;
-    * the last emitted width, which norms, positional tables and
-      attention follow.
-    """
-    profile = as_profile(rate)
-    feeder = profile.rate_for(None)
-    width = None
-    leaves: list[tuple[object, str, PlanStep]] = []
-
-    def visit(module) -> None:
-        nonlocal feeder, width
-        for name, child in module._modules.items():
-            if not isinstance(child, _LEAVES):
-                visit(child)
-                continue
-            if isinstance(child, _INPUT_SLICED):
-                step = compile_layer(child, profile,
-                                     in_width=_in_width(child, feeder))
-            else:
-                step = compile_layer(child, profile, in_width=width)
-            leaves.append((module, name, step))
-            if isinstance(child, _CELLS) \
-                    or getattr(child, "out_partition", None) is not None:
-                feeder = profile.rate_for(child.slice_point)
-            width = step.out_width or width
-
-    visit(model)
-    return leaves
-
-
 # ----------------------------------------------------------------------
 # Model compilation: one step per declared op
 # ----------------------------------------------------------------------
-def _compile_op(op: Op, profile: SliceProfile, width: int | None
-                ) -> PlanStep:
+def _compile_op(op: Op, profile: SliceProfile, width: int | None,
+                layers: list) -> PlanStep:
     """The step for one declared op; ``width`` is the arriving feature
-    width (None for the model input, which is never sliced)."""
+    width (None for the model input, which is never sliced).  Each layer
+    compiled on the way is appended to ``layers`` with its step."""
     layer = op.layer
     if op.kind == "dense":
-        return _dense_step(layer, profile, width, relu=op.relu)
+        return _dense_step(layer, profile, width, layers, relu=op.relu)
     if op.kind == "attention":
         return AttentionBlockStep(
-            compile_layer(layer.ln1, profile, in_width=width),
-            compile_layer(layer.attn, profile, in_width=width))
+            _layer_step(layer.ln1, profile, width, layers),
+            _layer_step(layer.attn, profile, width, layers))
     if op.kind == "ffn":
-        return _ffn_step(layer, profile, width)
+        return _ffn_step(layer, profile, width, layers)
     if op.kind == "residual":
-        return _residual_step(op, profile, width)
+        return _residual_step(op, profile, width, layers)
+    if op.kind == "lstm":  # a stack of cells, each at its own rate
+        cells, _ = _compile_ops([Op("cell", cell) for cell in layer.cells],
+                                profile, width, layers)
+        return LSTMStackStep(cells)
     if op.kind == "mean_pool":
         return MeanPoolStep(axis=1)
     if op.kind == "global_pool":
         return GlobalAvgPoolStep()
     if op.kind == "log_softmax":
         return LogSoftmaxStep()
-    if op.kind in ("linear", "conv", "norm", "pool", "embedding", "lstm",
-                   "positional", "layernorm"):
-        return compile_layer(layer, profile, in_width=width, relu=op.relu)
+    if op.kind in ("linear", "conv", "norm", "pool", "dropout", "cell",
+                   "embedding", "positional", "layernorm"):
+        return _layer_step(layer, profile, width, layers, relu=op.relu)
     raise PlanError(f"no plan step for op kind {op.kind!r}")
 
 
-def _compile_ops(ops, profile: SliceProfile, width: int | None
-                 ) -> tuple[list[PlanStep], int | None]:
+def _compile_ops(ops, profile: SliceProfile, width: int | None,
+                 layers: list) -> tuple[list[PlanStep], int | None]:
     """The steps of ``ops`` in order, each fed the width its predecessor
-    emits; also returns the width the last one emits."""
+    emits; also returns the width the last one emits.  The one walk that
+    threads widths between layers."""
     steps: list[PlanStep] = []
     for op in ops:
-        steps.append(_compile_op(op, profile, width))
+        steps.append(_compile_op(op, profile, width, layers))
         width = steps[-1].out_width or width
     return steps, width
 
 
-def _residual_step(op: Op, profile: SliceProfile, width: int
-                   ) -> ResidualStep:
+def _layer_step(layer, profile: SliceProfile, width: int | None,
+                layers: list, relu: bool = False) -> PlanStep:
+    """:func:`compile_layer` at the arriving ``width``, recorded in
+    ``layers``."""
+    step = compile_layer(layer, profile, in_width=width, relu=relu)
+    layers.append((layer, step))
+    return step
+
+
+def _residual_step(op: Op, profile: SliceProfile, width: int,
+                   layers: list) -> ResidualStep:
     """A pre-activation residual block at the arriving ``width``."""
-    pre, inner = _compile_ops(op.pre, profile, width)
-    body, body_width = _compile_ops(op.body, profile, inner)
+    pre, inner = _compile_ops(op.pre, profile, width, layers)
+    body, body_width = _compile_ops(op.body, profile, inner, layers)
     shortcut = None if op.shortcut is None \
-        else _compile_op(op.shortcut, profile, inner)
+        else _compile_op(op.shortcut, profile, inner, layers)
     skip_width = width if shortcut is None else shortcut.out_width
     if body_width != skip_width:
         raise PlanError(
@@ -988,23 +939,27 @@ def _residual_step(op: Op, profile: SliceProfile, width: int
 
 
 def _dense_step(layer: SlicedLinear, profile: SliceProfile,
-                width: int | None, relu: bool = False) -> DenseStep:
+                width: int | None, layers: list,
+                relu: bool = False) -> DenseStep:
     """A transformer dense layer: the linear prefix rule, never rescaled."""
     weight, bias, _ = _linear_prefix(
         layer, profile.rate_for(layer.slice_point), width)
-    return DenseStep(weight, bias, relu=relu)
+    step = DenseStep(weight, bias, relu=relu)
+    layers.append((layer, step))
+    return step
 
 
-def _ffn_step(block, profile: SliceProfile, width: int) -> FFNBlockStep:
+def _ffn_step(block, profile: SliceProfile, width: int,
+              layers: list) -> FFNBlockStep:
     """The FFN half of a pre-norm block at the residual ``width``."""
-    fc1 = _dense_step(block.fc1, profile, width)
-    fc2 = _dense_step(block.fc2, profile, fc1.out_width)
+    fc1 = _dense_step(block.fc1, profile, width, layers)
+    fc2 = _dense_step(block.fc2, profile, fc1.out_width, layers)
     if fc2.out_width != width:
         raise PlanError(
             f"profile gives fc2 width {fc2.out_width} but the residual "
             f"stream is {width} wide; fc2 must stay at the default "
             f"(residual) rate")
-    return FFNBlockStep(compile_layer(block.ln2, profile, in_width=width),
+    return FFNBlockStep(_layer_step(block.ln2, profile, width, layers),
                         fc1, fc2)
 
 
@@ -1021,14 +976,20 @@ class InferencePlan:
     :attr:`profile` is the full per-layer identity; :attr:`rate` keeps
     the scalar view for uniform profiles (``None`` for genuinely
     non-uniform ones, where no single scalar describes the plan).
+    :attr:`layer_steps` pairs every compiled layer with its step, those
+    inside composite steps (an LSTM stack's cells, a transformer
+    half-block's layers, residual branches) included; deployment reads
+    it.
     """
 
-    def __init__(self, model, rate, steps: list[PlanStep], family: Family):
+    def __init__(self, model, rate, steps: list[PlanStep], family: Family,
+                 layer_steps: list[tuple[object, PlanStep]]):
         self.model = model
         self.profile = as_profile(rate)
         self.rate = float(self.profile) if self.profile.uniform else None
         self.steps = list(steps)
         self.family = family
+        self.layer_steps = layer_steps
         # Read before the snapshot: a write racing it moves the epoch
         # past this value, so the next check walks.
         self._epoch = mutation_epoch()
@@ -1103,8 +1064,9 @@ def compile_plan(model, rate) -> InferencePlan:
             f"no plan for model {type(model).__name__}: its class has no "
             f"declaration in repro.slicing.families")
     profile = as_profile(rate)
-    steps, _ = _compile_ops(family.ops(model), profile, None)
-    return InferencePlan(model, profile, steps, family)
+    layer_steps: list[tuple[object, PlanStep]] = []
+    steps, _ = _compile_ops(family.ops(model), profile, None, layer_steps)
+    return InferencePlan(model, profile, steps, family, layer_steps)
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.errors import PlanError, ShapeError
 from repro.metrics import active_params
 from repro.models import (MLP, NNLM, SlicedResNet, SlicedVGG,
                           TransformerEncoder, TransformerLM)
+from repro.nn import Sequential
 from repro.nn.module import Module, Parameter, mutation_epoch
 from repro.optim import SGD
 from repro.slicing import (
@@ -45,17 +46,6 @@ from repro.slicing.plans import ConvStep
 from repro.tensor import Tensor, conv2d, no_grad
 
 RATES_G4 = GroupPartition(8, 4).valid_rates()  # 0.25, 0.5, 0.75, 1.0
-
-
-class _Wrap(Module):
-    """Minimal container so single layers can go through materialize."""
-
-    def __init__(self, layer):
-        super().__init__()
-        self.layer = layer
-
-    def forward(self, x, *state):
-        return self.layer(x, *state)
 
 
 def _as_arrays(out):
@@ -84,11 +74,15 @@ def _sliced(layer, x, rate, *state):
 
 
 def _materialized(layer, x, rate, *state):
-    """The deployment leg: standalone subnet from materialize_subnet."""
-    deployed = materialize_subnet(_Wrap(layer), rate)
+    """The deployment leg: standalone subnet from materialize_subnet.
+
+    The deployed child takes the recurrent state directly; a
+    ``Sequential`` passes its input only.
+    """
+    deployed = materialize_subnet(Sequential(layer), rate)
     deployed.eval()
     with no_grad():
-        out = deployed(_arg(x), *state)
+        out = deployed[0](_arg(x), *state)
     return _as_arrays(out)
 
 
@@ -228,7 +222,7 @@ class TestLayerEquivalence:
 
     def test_unknown_layer_rejected(self):
         with pytest.raises(PlanError):
-            compile_layer(_Wrap(SlicedLinear(4, 4)), 0.5)
+            compile_layer(Sequential(SlicedLinear(4, 4)), 0.5)
 
 
 # ----------------------------------------------------------------------
